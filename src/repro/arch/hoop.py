@@ -65,6 +65,15 @@ class HoopArchitecture(IntermittentArchitecture):
         self.committed_log = {}
         self.region_used = 0
         self.gc_count = 0
+        # Incremental pending-slot accounting so estimate_backup_cost()
+        # avoids rebuilding _pending_updates() after every instruction:
+        # how many distinct words a backup would persist (OOP buffer
+        # plus masked words of dirty lines), how many distinct blocks
+        # they span, and which blocks have words in the buffer.
+        # backup() asserts these against the full plan.
+        self._pend_words = 0
+        self._pend_blocks = 0
+        self._buffer_blocks = set()
 
     def leakage_per_cycle(self):
         return self.energy.cache_leak_cycle
@@ -113,6 +122,8 @@ class HoopArchitecture(IntermittentArchitecture):
             value = int.from_bytes(line.data[i * _WORD : (i + 1) * _WORD], "little")
             self.charge("forward", self.energy.cache_access)
             self.oop_buffer[addr] = value
+        # The words only change place: pending counts are unchanged.
+        self._buffer_blocks.add(line.block_addr)
         line.dirty = False
 
     def load(self, addr, size):
@@ -137,7 +148,19 @@ class HoopArchitecture(IntermittentArchitecture):
         if line is None:
             line = self._miss(block_addr)
             cycles += 4 * self.words_per_block
-        line.meta.mask |= 1 << self.cache.word_index(addr)
+        index = self.cache.word_index(addr)
+        meta = line.meta
+        mask = meta.mask
+        bit = 1 << index
+        if not mask & bit:
+            # First write to this word since the line was filled or
+            # backed up: it is newly pending unless the buffer already
+            # holds an older update of it.
+            if block_addr + index * _WORD not in self.oop_buffer:
+                self._pend_words += 1
+                if not mask and block_addr not in self._buffer_blocks:
+                    self._pend_blocks += 1
+            meta.mask = mask | bit
         if size == 4:
             self.cache.write_word(line, addr, value)
         else:
@@ -174,8 +197,13 @@ class HoopArchitecture(IntermittentArchitecture):
         )
 
     def estimate_backup_cost(self):
-        updates = self._pending_updates()
-        slots = self._slots_needed(updates)
+        """Exact backup cost in O(1), from the pending-slot counters.
+
+        Prices the same integer slot count as :meth:`backup`'s full
+        plan, with the same float expression, so the result is
+        bit-identical; :meth:`backup` asserts the counters agree.
+        """
+        slots = self._pend_words + self._pend_blocks
         cost = (
             slots * self.energy.nvm_write_word
             + Checkpoint.WORDS * self.energy.nvm_write_word
@@ -198,6 +226,8 @@ class HoopArchitecture(IntermittentArchitecture):
     def backup(self, reason):
         updates = self._pending_updates()
         slots = self._slots_needed(updates)
+        assert len(updates) == self._pend_words, "pending-word count drift"
+        assert slots == self._pend_words + self._pend_blocks, "pending-block count drift"
         if self.region_used + slots > self.region_slots:
             self._collect_garbage("forward_overhead")
         cost = (
@@ -214,14 +244,21 @@ class HoopArchitecture(IntermittentArchitecture):
             line.dirty = False
             line.meta.mask = 0
         self.oop_buffer = {}
+        self._reset_pending()
         self.nvm.commit_checkpoint(self.snapshot_payload())
         self.ledger.commit_epoch()
         self.stats.count_backup(reason)
 
     # ------------------------------------------------------ lifecycle
+    def _reset_pending(self):
+        self._pend_words = 0
+        self._pend_blocks = 0
+        self._buffer_blocks = set()
+
     def on_power_failure(self):
         self.cache.clear()
         self.oop_buffer = {}
+        self._reset_pending()
 
     def restore(self):
         super().restore()

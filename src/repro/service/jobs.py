@@ -138,6 +138,9 @@ class JobTable:
             job_id = f"job-{next(self._ids):06d}"
             record = JobRecord(job_id, kind, request)
             self._jobs[job_id] = record
+            # Re-insert a settled key at the end, so the map stays in
+            # job-id order (active() returns records in that order).
+            self._active_by_key.pop(key, None)
             self._active_by_key[key] = record
             return record, True
 
@@ -155,6 +158,16 @@ class JobTable:
             return states
 
     def active(self):
-        """Queued + running records (for backpressure accounting)."""
+        """Queued + running records (for backpressure accounting).
+
+        O(in-flight): scans only the coalescing map, dropping records
+        that have settled, so the map holds only in-flight keys plus
+        those settled since the last call.
+        """
         with self._lock:
-            return [r for r in self._jobs.values() if r.state in _ACTIVE]
+            self._active_by_key = {
+                key: record
+                for key, record in self._active_by_key.items()
+                if record.state in _ACTIVE
+            }
+            return list(self._active_by_key.values())

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import (
     ExperimentSettings,
     fig10_backup_schemes,
+    fig12_hoop,
     fig14_reclaim,
     format_breakdowns,
     format_mapping,
@@ -18,8 +19,10 @@ from repro.analysis import (
 from repro.analysis.experiments import (
     cached_run,
     clear_run_cache,
+    fig10_spec,
     fig11_energy_breakdown,
 )
+from repro.arch.base import BackupReason
 from repro.sim.platform import PlatformConfig
 
 SMOKE = ExperimentSettings.smoke()
@@ -54,6 +57,23 @@ def test_fig10_smoke_has_average():
     assert set(SMOKE.benchmarks) <= set(results["jit"])
     # qsort is violation-heavy: NvMR must save energy under JIT.
     assert results["jit"]["qsort"] > 0
+
+
+def test_fig10_nvmr_never_backs_up_for_a_violation():
+    """NvMR renames instead of backing up on idempotency violations, so
+    no NvMR run of the fig10 grid has a violation-reason backup."""
+    nvmr_jobs = [job for job in fig10_spec().jobs(SMOKE) if job.config.arch == "nvmr"]
+    assert nvmr_jobs
+    for job in nvmr_jobs:
+        result = cached_run(*job)
+        assert result.backups_by_reason.get(BackupReason.VIOLATION, 0) == 0, job
+
+
+def test_fig12_nvmr_saves_energy_over_hoop_under_jit():
+    """Paper Fig. 12: NvMR uses less energy than HOOP under JIT.
+    (Watchdog is not pinned: at smoke scale its average is near zero.)"""
+    results = fig12_hoop(SMOKE, policies=("jit",))
+    assert results["jit"]["average"] > 0
 
 
 def test_fig11_breakdowns_normalised_to_clank():

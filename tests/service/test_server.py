@@ -67,6 +67,29 @@ def test_job_table_coalesces_active_identical_requests():
     assert counts["done"] == 1
 
 
+def _settle(record):
+    record.mark_running()
+    record.mark_done({"ok": True})
+
+
+def test_job_table_active_drops_settled_jobs():
+    table = JobTable()
+    for i in range(50):
+        record, _ = table.submit("simulate", {"benchmark": "hist", "trace_seed": i})
+        _settle(record)
+    assert table.active() == []
+    assert table._active_by_key == {}
+    # In-flight jobs survive the sweep, in job-id order, even when a
+    # settled key is resubmitted after a newer in-flight one.
+    first, _ = table.submit("simulate", {"benchmark": "hist", "trace_seed": 1})
+    second, _ = table.submit("simulate", {"benchmark": "dwt"})
+    _settle(first)
+    third, _ = table.submit("simulate", {"benchmark": "hist", "trace_seed": 1})
+    assert table.active() == [second, third]
+    assert list(table._active_by_key.values()) == [second, third]
+    assert table.counts()["total"] == 53
+
+
 # ------------------------------------------------------------ endpoints
 def test_status_reports_jobs_scheduler_and_store(client):
     status = client.status()
