@@ -18,11 +18,8 @@ N fast simulations); ``--check`` additionally asserts every replayed
 RunResult (both modes) equals its simulated twin bit for bit.
 
 ``--profile`` aggregates each compiled replay's ``ReplayStats``
-(windows, compiled span lengths, in-array guard renewals, fallback
-histogram) per (benchmark, policy) into the report, and re-times the
-compiled grid with guard kernels disabled
-(``REPRO_REPLAY_GUARD_KERNELS=0``, the PR 7 break-at-renewal baseline)
-so the span growth the kernels buy is measured, not asserted.
+(windows, compiled span lengths, fallback histogram) per (benchmark,
+policy) into the report.
 
 ``--perf-sanity`` is the CI guard-rail: scalar vs compiled on the two
 longest-window benchmarks only (where compiled replay must win);
@@ -40,7 +37,6 @@ Usage::
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -70,18 +66,19 @@ PERF_SANITY_FLOOR = 0.9
 #: stretch target; recorded in the report so the number travels with
 #: its explanation.
 BOTTLENECK = (
-    "guard kernels now renew policy guards in-array, so compiled spans "
-    "are bounded by cache misses and active-period ends instead of "
-    "guard renewals (spendthrift's 100-cycle check interval previously "
-    "forced scalar windows; its spans now run to the next miss). The "
-    "profile section shows the remaining ceiling: on the short-window "
-    "benchmarks (hist, stringsearch, blowfish, qsort) windows break "
-    "every ~20-130 steps at cache misses — real architectural work "
-    "(evictions, NVM traffic, MTC renames) that cannot be absorbed "
-    "into closed-form array math — so the payoff probation keeps them "
-    "on the scalar window and per-step interpreter costs dominate the "
-    "sweep. Reaching 10x over the reference would require lowering the "
-    "miss path itself, not the policy guards."
+    "compiled spans break at guard renewals and cache misses. JIT's "
+    "floor is revoked at every clean-line store and Spendthrift's "
+    "100-cycle check interval keeps it on the scalar window "
+    "(policy_hint), so only the long failure-free epochs of basicmath "
+    "and 2dconv run as array ops. The profile section shows the rest: "
+    "on the short-window benchmarks (hist, stringsearch, blowfish, "
+    "qsort) windows break every ~20-130 steps at cache misses, real "
+    "architectural work (evictions, NVM traffic, MTC renames), so the "
+    "payoff probation keeps them on the scalar window and per-step "
+    "interpreter costs dominate the sweep. Renewing guards in-array "
+    "was measured (closed-form guard kernels) and removed: it moved "
+    "the grid by 1.01x. Reaching 10x over the reference would require "
+    "lowering the miss path itself."
 )
 
 
@@ -115,8 +112,7 @@ def main(argv=None):
         action="store_true",
         help=(
             "aggregate compiled-replay ReplayStats per (benchmark, "
-            "policy) and measure the guard kernels' span growth vs the "
-            "kernels-off baseline"
+            "policy)"
         ),
     )
     parser.add_argument(
@@ -187,12 +183,10 @@ def main(argv=None):
                 agg = stats_sink.setdefault(
                     (bench, policy),
                     {"windows": 0, "window_steps": 0, "compiled_windows": 0,
-                     "compiled_steps": 0, "absorbed_floor": 0,
-                     "absorbed_budget": 0, "fallbacks": {}},
+                     "compiled_steps": 0, "fallbacks": {}},
                 )
                 for field in ("windows", "window_steps", "compiled_windows",
-                              "compiled_steps", "absorbed_floor",
-                              "absorbed_budget"):
+                              "compiled_steps"):
                     agg[field] += getattr(stats, field)
                 for reason, count in stats.fallbacks.items():
                     agg["fallbacks"][reason] = (
@@ -284,27 +278,6 @@ def main(argv=None):
             print(f"checked {len(grid)} runs, {mismatches} mismatches")
         return 1 if failures or mismatches else 0
 
-    baseline_stats = {}
-    if args.profile:
-        # Re-time the compiled grid with in-array guard renewal off:
-        # the PR 7 break-at-every-renewal baseline the kernels replace.
-        knob = "REPRO_REPLAY_GUARD_KERNELS"
-        saved = os.environ.get(knob)
-        os.environ[knob] = "0"
-        try:
-            baseline_total, baseline_bench, _ = _run(
-                _replay(compiled=True), stats_sink=baseline_stats
-            )
-        finally:
-            if saved is None:
-                del os.environ[knob]
-            else:
-                os.environ[knob] = saved
-        seconds["compiled_no_kernels"] = baseline_total
-        bench_seconds["compiled_no_kernels"] = baseline_bench
-        print(f"compiled (kernels off): {baseline_total}s for "
-              f"{len(grid)} runs")
-
     mismatches = 0
     if args.check:
         for key, sim_result in outputs["fast"].items():
@@ -333,19 +306,11 @@ def main(argv=None):
                 bench_seconds["reference"][bench],
                 bench_seconds["compiled"][bench],
             )
-        if "compiled_no_kernels" in bench_seconds:
-            row["no_kernels_seconds"] = round(
-                bench_seconds["compiled_no_kernels"][bench], 2
-            )
-            row["kernels_speedup"] = _ratio(
-                bench_seconds["compiled_no_kernels"][bench],
-                bench_seconds["compiled"][bench],
-            )
         per_benchmark[bench] = row
 
-    def _profile_rows(stats_by_key):
-        rows = {}
-        for (bench, policy), agg in sorted(stats_by_key.items()):
+    profile = {}
+    if args.profile:
+        for (bench, policy), agg in sorted(compiled_stats.items()):
             row = dict(agg)
             row["fallbacks"] = dict(sorted(agg["fallbacks"].items()))
             row["compiled_hit_rate"] = _ratio(
@@ -357,40 +322,7 @@ def main(argv=None):
             row["mean_compiled_steps"] = _ratio(
                 agg["compiled_steps"], agg["compiled_windows"]
             )
-            rows.setdefault(bench, {})[policy] = row
-        return rows
-
-    profile = {}
-    if args.profile:
-        profile["guard_kernels_on"] = _profile_rows(compiled_stats)
-        profile["guard_kernels_off"] = _profile_rows(baseline_stats)
-        # Span growth the in-array renewals buy, per (benchmark,
-        # policy): mean compiled span (steps committed per compiled
-        # window) with kernels on vs the break-at-renewal baseline.
-        # When the baseline has no compiled windows at all (spendthrift:
-        # its 100-cycle check interval fell under the policy_hint gate,
-        # so every window ran scalar), growth is measured against the
-        # baseline's mean *scalar* window length — the stretch a
-        # committed run was previously bounded to.
-        span_growth = {}
-        for key, on_agg in sorted(compiled_stats.items()):
-            bench, policy = key
-            off_agg = baseline_stats.get(key, {})
-            on_span = _ratio(on_agg["compiled_steps"],
-                             on_agg["compiled_windows"])
-            off_span = _ratio(off_agg.get("compiled_steps", 0),
-                              off_agg.get("compiled_windows", 0))
-            off_window = _ratio(off_agg.get("window_steps", 0),
-                                off_agg.get("windows", 0))
-            baseline_span = off_span if off_span else off_window
-            span_growth.setdefault(bench, {})[policy] = {
-                "mean_compiled_steps_kernels_on": on_span,
-                "mean_compiled_steps_kernels_off": off_span,
-                "mean_window_steps_kernels_off": off_window,
-                "growth": (_ratio(on_span, baseline_span)
-                           if baseline_span else None),
-            }
-        profile["span_growth"] = span_growth
+            profile.setdefault(bench, {})[policy] = row
 
     end_to_end = round(record_total + seconds["compiled"], 2)
     report = {
@@ -421,9 +353,6 @@ def main(argv=None):
         report["bottleneck"] = BOTTLENECK
     if args.profile:
         report["profile"] = profile
-        report["kernels_speedup"] = _ratio(
-            seconds["compiled_no_kernels"], seconds["compiled"]
-        )
     if args.check:
         report["checked"] = len(grid)
         report["mismatches"] = mismatches

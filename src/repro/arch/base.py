@@ -145,25 +145,6 @@ class IntermittentArchitecture(MemorySystem):
         """
         return None
 
-    def estimate_cost_kernel(self):
-        """Closed-form twin of :meth:`estimate_backup_cost`, or None.
-
-        An architecture whose backup estimate is a pure function of a
-        small count vector — dirty lines, map probes — may return an
-        object exposing ``anchor() -> counts`` (read the counts off the
-        live structures), ``cost(*counts) -> float`` (reproduce the
-        estimate *bit-exactly*, same float operation order as
-        ``estimate_backup_cost``), and ``probe_delta(block_addr)``
-        (how dirtying this clean block changes the probe count).
-        Compiled replay's policy guard kernels
-        (:meth:`repro.policies.base.BackupPolicy.compile_guard`) use it
-        to renew energy floors in-array without consulting the
-        architecture per event.  ``None`` (the default) disables every
-        floor kernel for this architecture — replay falls back to the
-        scalar decide path, bit-identically.
-        """
-        return None
-
     def on_power_failure(self):  # pragma: no cover - interface
         """Wipe volatile state (cache, filters, SRAM tables)."""
         raise NotImplementedError

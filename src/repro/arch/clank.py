@@ -63,9 +63,6 @@ class ClankArchitecture(CachedArchitecture):
         # clean line (evictions only ever shrink the count).
         return self.energy.block_write(self.words_per_block)
 
-    def estimate_cost_kernel(self):
-        return _ClankCostKernel(self)
-
     def backup(self, reason):
         """Atomically persist registers + all dirty blocks (double-buffered).
 
@@ -88,30 +85,3 @@ class ClankArchitecture(CachedArchitecture):
         self._reset_section_tracking()
         self.ledger.commit_epoch()
         self.stats.count_backup(reason)
-
-
-class _ClankCostKernel:
-    """Closed-form :meth:`estimate_backup_cost` over the dirty count.
-
-    ``cost(d, 0)`` replays the estimate's exact float chain —
-    ``(d * block_write + WORDS * nvm_write_word) + backup_commit``,
-    left-associated, with the two constant terms kept as separate adds
-    so each intermediate rounding matches the live method bit for bit.
-    """
-
-    needs_probes = False
-
-    def __init__(self, arch):
-        self._cache = arch.cache
-        self._bw = arch.energy.block_write(arch.words_per_block)
-        self._wnw = Checkpoint.WORDS * arch.energy.nvm_write_word
-        self._commit = arch.energy.backup_commit
-
-    def anchor(self):
-        return self._cache.dirty_count(), 0
-
-    def cost(self, dirty, probes):
-        return dirty * self._bw + self._wnw + self._commit
-
-    def probe_delta(self, block_addr):
-        return 0

@@ -357,9 +357,6 @@ class NvmrArchitecture(CachedArchitecture):
             + overhead
         )
 
-    def estimate_cost_kernel(self):
-        return _NvmrCostKernel(self)
-
     def estimate_growth_per_step(self):
         """Per-step growth bound for the backup-cost estimate.
 
@@ -433,69 +430,3 @@ class NvmrArchitecture(CachedArchitecture):
         if mapping is None:
             return self.nvm.peek_word(addr)
         return self.nvm.peek_word(mapping + (addr - tag))
-
-
-class _NvmrCostKernel:
-    """Closed-form :meth:`estimate_backup_cost` over (dirty, probes).
-
-    The estimate's overhead term is a *sequential* float accumulation
-    (``FREE_PTR`` base, ``dirty`` adds of ``mtc_access``, ``probes``
-    adds of the map probe), so the kernel tabulates every reachable
-    partial sum with the same add order — ``table[d][p]`` is
-    bit-identical to the live method's accumulator at those counts.
-    The cache has at most ``size/block`` lines (16 at the paper's
-    geometry), so the table is tiny.  The MTC dirty terms and the MTC
-    occupancy itself are backup-/eviction-driven and cannot change
-    inside a miss-free, backup-free compiled span: ``anchor()``
-    snapshots them once per window.
-    """
-
-    needs_probes = True
-
-    def __init__(self, arch):
-        energy = arch.energy
-        self._arch = arch
-        self._cache = arch.cache
-        self._mtc_peek = arch.mtc.peek
-        self._bw = energy.block_write(arch.words_per_block)
-        self._wnw = Checkpoint.WORDS * energy.nvm_write_word
-        self._commit = energy.backup_commit
-        self._nw = energy.nvm_write_word
-        self._map_commit = arch.MAP_COMMIT_WORDS * energy.nvm_write_word
-        self._mtc_term = 0.0
-        mtc_access = energy.mtc_access
-        probe = arch.MAP_ENTRY_WORDS * energy.nvm_read_word
-        nlines = arch.cache.size_bytes // arch.cache.block_size
-        table = []
-        row_base = arch.FREE_PTR_WORDS * energy.nvm_write_word
-        for d in range(nlines + 1):
-            row = [row_base]
-            acc = row_base
-            for _ in range(nlines):
-                acc += probe
-                row.append(acc)
-            table.append(row)
-            row_base += mtc_access
-        self._table = table
-
-    def anchor(self):
-        arch = self._arch
-        self._mtc_term = (
-            arch._mtc_dirty_count * self._map_commit
-            + arch._mtc_dirty_reserved * self._nw
-        )
-        dirty = 0
-        probes = 0
-        mtc_peek = self._mtc_peek
-        for line in self._cache.dirty_lines():
-            dirty += 1
-            if mtc_peek(line.block_addr) is None:
-                probes += 1
-        return dirty, probes
-
-    def cost(self, dirty, probes):
-        overhead = self._table[dirty][probes] + self._mtc_term
-        return dirty * self._bw + self._wnw + self._commit + overhead
-
-    def probe_delta(self, block_addr):
-        return 1 if self._mtc_peek(block_addr) is None else 0

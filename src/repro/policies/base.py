@@ -1,6 +1,5 @@
 """Backup-policy interface."""
 
-from bisect import bisect_left
 from typing import NamedTuple
 
 
@@ -35,91 +34,6 @@ class PolicyAction:
     #: Back up now and end the active period (JIT / predictive style):
     #: the device sleeps until the capacitor recharges.
     SHUTDOWN = "shutdown"
-
-
-class GuardKernel:
-    """Declarative closed-form guard renewal for compiled replay.
-
-    A policy whose quantum-guard renewal (see :meth:`BackupPolicy.
-    decide`) is closed-form array math over the recorded trace may
-    return one of these from :meth:`BackupPolicy.compile_guard`.  The
-    compiled span scanner (:mod:`repro.sim.epochs`) then renews the
-    guard *in-array* — instead of breaking the window back to the
-    scalar loop at every renewal — while remaining bit-identical to
-    the scalar decide() sequence it replaces.
-
-    ``kind`` names the guard family:
-
-    * ``"floor"`` — an energy floor that is static between dirty-set
-      events (``guard_event_revoke``).  The kernel must expose
-      ``anchor() -> (dirty, probes)`` (capture span-static cost state
-      from the live architecture; counts of dirty lines / map probes),
-      ``floor(dirty, probes) -> float`` (the exact threshold decide()
-      would compute at those counts — same float chain), and
-      ``probe_delta(block_addr) -> int`` (extra probe count if this
-      clean block were dirtied; consulted only when ``needs_probes``).
-      The executor walks dirty-set events in-array: at each first
-      store to a clean resident block it re-anchors the floor to
-      ``floor(d+1, p+probe_delta)`` exactly as a revoke + fresh
-      decide() would, or breaks (uncommitted) when the post-charge
-      energy no longer clears the new floor — the scalar general body
-      then re-executes the event and decide() returns SHUTDOWN.
-
-    * ``"budget"`` — a periodic cycle budget.  If ``absorbs`` is True
-      the kernel must expose ``anchor()`` / ``probe_delta`` as above
-      plus ``trip(energy, skipped_cycles, dirty, probes) -> int |
-      None``: replicate the policy's periodic check at an in-array
-      budget trip (post-charge energy of the tripping step, total
-      cycles skipped since the guard was granted, current cost
-      counts).  Return the renewed budget (cycles) when the check
-      passes — the kernel must apply exactly the state mutations the
-      scalar ``resync + decide`` pair would (counter reset, RNG
-      draws) — or None to decline, leaving policy state untouched
-      (RNG rewound): the step is then re-executed by the scalar
-      general body, whose decide() reproduces the identical check.
-      Non-absorbing budget kernels (``absorbs`` False) only document
-      the closed form: a trip performs real architectural work (e.g.
-      the watchdog's BACKUP), so the executor keeps its existing
-      break-at-trip behaviour.
-
-    * ``"boundary"`` — backups sit at known trace positions (opcode
-      boundaries).  ``opcodes`` lists the trigger opcodes and
-      ``note_boundary()`` applies the policy's per-retire effect; the
-      replayer precomputes a per-step boolean mask from the trace and
-      drops the per-instruction retire hook entirely.
-
-    Executors treat any kernel as advisory: a policy/arch pair that
-    cannot honour the contract returns None from ``compile_guard`` and
-    the scalar path serves every renewal, bit-identically.
-    """
-
-    kind = None
-    #: Whether the executor may renew this guard in-array.  False
-    #: kernels are declarative only (shared closed-form helpers,
-    #: testing) — the executor falls back at every renewal.
-    absorbs = False
-    #: Whether ``probe_delta`` must be consulted per dirty-set event
-    #: (architectures whose estimate charges per map probe).
-    needs_probes = False
-    #: ``"boundary"`` kernels: opcodes that mark a backup boundary.
-    opcodes = ()
-
-
-def guard_trip_step(cyc_cum, k, skipped, budget):
-    """Closed-form index of the step whose cycles trip a cycle budget.
-
-    ``cyc_cum`` is the exact int64 per-step cycle prefix sum of the
-    trace (``cyc_cum[i]`` = cycles of steps ``[0, i)``), ``k`` the
-    current step, ``skipped`` the cycles already accumulated against
-    ``budget``.  Returns the first step ``t >= k`` with ``skipped +
-    (cyc_cum[t+1] - cyc_cum[k]) >= budget`` — exactly the step at
-    which the scalar guard loop's ``skipped += cycles; skipped >=
-    budget`` test first fires — or ``len(cyc_cum) - 1`` when the
-    budget outlives the trace.  THE closed form the compiled executor
-    uses; the Hypothesis suite pins it against the scalar loop.
-    """
-    target = (budget - skipped) + cyc_cum[k]
-    return bisect_left(cyc_cum, target, lo=k) - 1
 
 
 class BackupPolicy:
@@ -202,18 +116,6 @@ class BackupPolicy:
         instruction, exactly as the reference loop does.
         """
         return self.after_step(platform, cycles), None
-
-    def compile_guard(self, platform):
-        """Return a :class:`GuardKernel` for compiled replay, or None.
-
-        Called once per replay run, after :meth:`reset`.  The default
-        declares nothing: every guard renewal goes through the scalar
-        ``decide`` path.  A policy may return a kernel only when the
-        kernel's closed form is bit-identical to its scalar logic on
-        this exact (platform, architecture) pair — when in doubt,
-        return None; compiled replay then simply runs at PR 7 speed.
-        """
-        return None
 
 
 class NeverPolicy(BackupPolicy):

@@ -12,12 +12,7 @@ single instruction, a JIT run never suffers an unexpected power failure
 and therefore has zero dead energy — matching Section 6.1.4.
 """
 
-from repro.policies.base import (
-    BackupPolicy,
-    GuardKernel,
-    PolicyAction,
-    TunableSpec,
-)
+from repro.policies.base import BackupPolicy, PolicyAction, TunableSpec
 
 #: JIT's guard is energy-bounded only — no cycle budget.
 _NO_BUDGET = float("inf")
@@ -99,42 +94,3 @@ class JitPolicy(BackupPolicy):
         if growth is None:
             return PolicyAction.NONE, None
         return PolicyAction.NONE, (threshold, growth, _NO_BUDGET, None)
-
-    def compile_guard(self, platform):
-        """Floor kernel: the threshold is closed-form in (dirty, probes).
-
-        Requires the architecture to expose a bit-exact cost kernel and
-        a growth bound (no growth bound means decide() never grants a
-        guard, so there is nothing to absorb).  The compiled executor
-        then re-anchors the floor at each dirty-set event to exactly
-        the threshold a revoke + fresh decide() would compute, and
-        declines (scalar fallback at the event step) when the event's
-        post-charge energy no longer clears the new threshold — the
-        same ``energy <= threshold`` test decide() applies.
-        """
-        if self._growth is None:
-            return None
-        cost_kernel = platform.arch.estimate_cost_kernel()
-        if cost_kernel is None:
-            return None
-        return _JitFloorKernel(cost_kernel, self._step_pad)
-
-
-class _JitFloorKernel(GuardKernel):
-    kind = "floor"
-    absorbs = True
-
-    def __init__(self, cost_kernel, step_pad):
-        self._ck = cost_kernel
-        self._pad = step_pad
-        self.needs_probes = cost_kernel.needs_probes
-
-    def anchor(self):
-        return self._ck.anchor()
-
-    def floor(self, dirty, probes):
-        # Same float chain as decide(): estimate + step pad, one add.
-        return self._ck.cost(dirty, probes) + self._pad
-
-    def probe_delta(self, block_addr):
-        return self._ck.probe_delta(block_addr)

@@ -17,12 +17,7 @@ failure modes that make Spendthrift save less than JIT in Figure 10.
 
 import numpy as np
 
-from repro.policies.base import (
-    BackupPolicy,
-    GuardKernel,
-    PolicyAction,
-    TunableSpec,
-)
+from repro.policies.base import BackupPolicy, PolicyAction, TunableSpec
 
 #: Std-dev of the capacitor-voltage measurement noise (fraction units).
 MEASUREMENT_NOISE = 0.05
@@ -219,73 +214,3 @@ class SpendthriftPolicy(BackupPolicy):
 
     def _resync(self, skipped_cycles):
         self._since_check += skipped_cycles
-
-    def compile_guard(self, platform):
-        """Absorbing budget kernel: replicate the NN check in-array.
-
-        The periodic check is a pure function of the post-charge energy
-        (``capacitor.fraction``), the backup-cost estimate (closed-form
-        via the arch's cost kernel) and the policy's own RNG/counter
-        state — so the compiled executor can run it at the in-array
-        trip step and, when the model says "keep going", renew the
-        budget without leaving the array pass.  A "back up now" verdict
-        declines: the RNG is rewound and the scalar decide() redraws
-        the identical sample and takes the SHUTDOWN itself.
-        """
-        cost_kernel = platform.arch.estimate_cost_kernel()
-        if cost_kernel is None:
-            return None
-        return _SpendthriftBudgetKernel(self, platform, cost_kernel)
-
-
-class _SpendthriftBudgetKernel(GuardKernel):
-    kind = "budget"
-    absorbs = True
-
-    def __init__(self, policy, platform, cost_kernel):
-        self._policy = policy
-        self._ck = cost_kernel
-        self._capacity = platform.capacitor.capacity
-        self._worst = platform.arch.worst_step_cost()
-        self.needs_probes = cost_kernel.needs_probes
-
-    def anchor(self):
-        return self._ck.anchor()
-
-    def probe_delta(self, block_addr):
-        return self._ck.probe_delta(block_addr)
-
-    def trip(self, energy, skipped_cycles, dirty, probes):
-        """The scalar ``resync + decide`` pair at a budget trip.
-
-        ``skipped_cycles`` includes the tripping step's own cycles, so
-        ``_since_check + skipped_cycles`` equals what the scalar path's
-        ``_resync(skipped - cycles)`` followed by ``after_step``'s
-        ``_since_check += cycles`` would accumulate.  Absorb: mutate
-        exactly what the scalar pair mutates (counter zeroed, one RNG
-        draw) and return the fresh budget.  Decline: rewind the RNG and
-        touch nothing — the scalar decide() redraws the same sample.
-        """
-        policy = self._policy
-        since = policy._since_check + skipped_cycles
-        if since < policy.check_interval:
-            # Unreachable at a genuine trip; kept for contract safety.
-            policy._since_check = since
-            return policy.check_interval - since
-        bit_gen = policy._rng.bit_generator
-        rng_state = bit_gen.state
-        measured = (energy / self._capacity) + policy._offset + float(
-            policy._rng.normal(0.0, _SAMPLE_NOISE)
-        )
-        cost_fraction = (self._ck.cost(dirty, probes) + self._worst) / (
-            self._capacity
-        )
-        features = policy._features
-        features[0] = measured
-        features[1] = cost_fraction
-        features[2] = policy._env
-        if policy.model.predict(features):
-            bit_gen.state = rng_state
-            return None
-        policy._since_check = 0
-        return policy.check_interval

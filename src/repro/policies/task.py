@@ -15,12 +15,7 @@ energy bill, like every other policy here.
 """
 
 from repro.isa.instructions import Opcode
-from repro.policies.base import (
-    BackupPolicy,
-    GuardKernel,
-    PolicyAction,
-    TunableSpec,
-)
+from repro.policies.base import BackupPolicy, PolicyAction, TunableSpec
 
 #: Minimum cycles between task backups (task granularity knob).
 DEFAULT_MIN_TASK_CYCLES = 1500
@@ -34,6 +29,12 @@ DEFAULT_MAX_TASK_CYCLES = 6000
 
 class TaskBoundaryPolicy(BackupPolicy):
     name = "task"
+
+    #: Opcodes whose retirement marks a task boundary.  The retire hook
+    #: inspects nothing else, so a trace replayer can precompute the
+    #: boundary positions from these and call :meth:`note_boundary`
+    #: at them instead of running the hook on every instruction.
+    boundary_opcodes = (Opcode.BL,)
 
     tunables = (
         TunableSpec(
@@ -88,8 +89,12 @@ class TaskBoundaryPolicy(BackupPolicy):
             platform.core.on_retire = chained
 
     def _on_retire(self, pc, instr, cycles):
-        if instr.op is Opcode.BL:
-            self._boundary_seen = True
+        if instr.op in self.boundary_opcodes:
+            self.note_boundary()
+
+    def note_boundary(self):
+        """A boundary instruction retired."""
+        self._boundary_seen = True
 
     def on_period_start(self, platform, conditions):
         self._since_backup = 0
@@ -106,26 +111,3 @@ class TaskBoundaryPolicy(BackupPolicy):
         if self._since_backup >= self.max_task_cycles:
             return PolicyAction.BACKUP  # forced loop split
         return PolicyAction.NONE
-
-    def compile_guard(self, platform):
-        """Boundary kernel: call sites are fixed trace positions.
-
-        The retire hook only ever inspects the instruction's opcode, so
-        a replayer can precompute a per-step boolean mask (``BL`` or
-        not) from the recorded trace and drop the per-instruction hook
-        entirely, setting ``_boundary_seen`` from the mask at exactly
-        the retire points the hook would have seen.  Declarative
-        (``absorbs`` False): the backup itself is real work.
-        """
-        return _TaskBoundaryKernel(self)
-
-
-class _TaskBoundaryKernel(GuardKernel):
-    kind = "boundary"
-    opcodes = (Opcode.BL,)
-
-    def __init__(self, policy):
-        self._policy = policy
-
-    def note_boundary(self):
-        self._policy._boundary_seen = True

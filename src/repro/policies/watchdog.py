@@ -6,12 +6,7 @@ failures and the energy spent since the last timer backup is dead
 (re-executed) energy — the paper's "most naive" scheme.
 """
 
-from repro.policies.base import (
-    BackupPolicy,
-    GuardKernel,
-    PolicyAction,
-    TunableSpec,
-)
+from repro.policies.base import BackupPolicy, PolicyAction, TunableSpec
 
 DEFAULT_PERIOD_CYCLES = 8000
 
@@ -81,20 +76,3 @@ class WatchdogPolicy(BackupPolicy):
 
     def _resync(self, skipped_cycles):
         self._elapsed += skipped_cycles
-
-    def compile_guard(self, platform):
-        """Budget kernel, declarative only (``absorbs`` False).
-
-        The next timer trip is already closed-form in the trace's cycle
-        prefix sums (:func:`repro.policies.base.guard_trip_step`, which
-        the compiled executor uses for every cycle-budget guard), but a
-        trip performs a real BACKUP — NVM writes, ledger commits — so
-        it cannot be absorbed in-array; the executor breaks at the trip
-        step exactly as before.
-        """
-        return _WatchdogBudgetKernel()
-
-
-class _WatchdogBudgetKernel(GuardKernel):
-    kind = "budget"
-    absorbs = False

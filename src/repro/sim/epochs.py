@@ -12,29 +12,6 @@ with a ``searchsorted`` instead of a step loop — and provides
 :class:`CompiledSpanState`, a drop-in for ``_SpanState`` whose
 ``window`` executes whole failure-free epochs as array ops.
 
-Guard kernels
--------------
-A policy may additionally declare its guard *renewal* as closed-form
-array math (:meth:`repro.policies.base.BackupPolicy.compile_guard`).
-The executor then absorbs renewals in-array instead of breaking the
-window back to the scalar loop at each one:
-
-* a ``"floor"`` kernel (JIT): the floor is affine/static between
-  dirty-set events, so the executor walks the events — the first store
-  to each clean resident block — re-anchoring the floor to exactly the
-  threshold a revoke + fresh ``decide()`` would compute, and breaks
-  (uncommitted) only when the event's post-charge energy no longer
-  clears the new floor (the scalar decide() then takes the SHUTDOWN);
-* an absorbing ``"budget"`` kernel (Spendthrift): successive budget
-  trips are closed-form ``bisect`` lookups in the int64 cycle prefix
-  sums (:func:`repro.policies.base.guard_trip_step`); at each trip the
-  kernel replicates the scalar ``resync + decide`` pair — including
-  its RNG draws — and the window continues with the renewed budget.
-
-Windows then run whole active periods: they break only at misses, byte
-ops, unaffordable charges, halts, or a declined renewal — exactly the
-points the scalar general body must service anyway.
-
 Bit-exactness
 -------------
 The compiled window produces results bit-identical to the scalar loop
@@ -54,14 +31,9 @@ every batched operation reproduces the scalar float chain exactly:
 * cycle budgets are integers: the breaking step is
   ``searchsorted(cyc_cum, budget_target) - 1`` on an exact int64
   prefix sum;
-* guard renewals replayed in-array replicate the scalar revoke +
-  ``decide()`` chain: the renewed floor/budget is computed by the
-  policy's own kernel from the same post-charge energy and the same
-  dirty/probe counts the live estimate would see (both are static
-  within a committed hit run, which contains no misses or evictions);
 * within a window no line is ever evicted and (for event-revoked
-  guards) dirtiness only changes at absorbed events, so the steps that
-  can break a window structurally — byte ops, misses, reorder
+  guards) no clean line is ever dirtied, so the steps that can break
+  a window structurally — byte ops, misses, clean stores, reorder
   hazards — are a boolean mask over precompiled per-memop arrays, and
   everything before the first break is a pure hit run whose side
   effects (word values, first-touch states, dirty flags, LRU order)
@@ -102,7 +74,6 @@ import numpy as np
 from numpy.lib import format as npf
 
 from repro.mem.bloom import WordState
-from repro.policies.base import guard_trip_step
 from repro.sim import tracestore
 from repro.sim.replay import _SpanState
 from repro.sim.trace import TRACE_VERSION
@@ -130,9 +101,7 @@ _CHUNK_MAX = 8192
 #: Cycle-budget windows whose closed-form budget trip lies fewer than
 #: this many steps ahead run fully scalar: the budget caps the window
 #: length exactly, so short-interval policies (spendthrift's
-#: check_interval) never pay any vectorization overhead at all.  An
-#: *absorbing* budget kernel bypasses this gate — its trips renew
-#: in-array, so the budget no longer caps the window.
+#: check_interval) never pay any vectorization overhead at all.
 _GM2_MIN_SPAN = 192
 
 #: Payoff probation: after this many vectorized phases, if the average
@@ -175,6 +144,23 @@ def compiled_enabled():
     """Whether compiled-epoch windows are on
     (``REPRO_REPLAY_COMPILED=0`` disables them process-wide)."""
     return os.environ.get("REPRO_REPLAY_COMPILED", "1") not in ("0", "")
+
+
+def guard_trip_step(cyc_cum, k, skipped, budget):
+    """Closed-form index of the step whose cycles trip a cycle budget.
+
+    ``cyc_cum`` is the exact int64 per-step cycle prefix sum of the
+    trace (``cyc_cum[i]`` = cycles of steps ``[0, i)``), ``k`` the
+    current step, ``skipped`` the cycles already accumulated against
+    ``budget``.  Returns the first step ``t >= k`` with ``skipped +
+    (cyc_cum[t+1] - cyc_cum[k]) >= budget`` — exactly the step at
+    which the scalar guard loop's ``skipped += cycles; skipped >=
+    budget`` test first fires — or ``len(cyc_cum) - 1`` when the
+    budget outlives the trace.  The Hypothesis suite pins it against
+    the scalar loop.
+    """
+    target = (budget - skipped) + cyc_cum[k]
+    return bisect_left(cyc_cum, target, lo=k) - 1
 
 
 class EpochScript:
@@ -490,27 +476,22 @@ class CompiledSpanState(_SpanState):
     """Quantum-window executor that batches failure-free epochs.
 
     A drop-in for ``_SpanState``: same constructor (plus an optional
-    guard ``kernel`` and ``stats`` sink), same ``window`` contract,
-    same bookkeeping hooks (``note_memop`` / ``rescan_set`` /
-    ``note_backup`` are inherited).  ``window`` runs a short scalar
-    prefix (cheap for the short windows that dominate at guard entry),
-    then scans the remaining steps in doubling chunks of array ops,
-    committing whole hit runs at once and dropping back to scalar
-    semantics only at the single breaking step — which, exactly like
-    the scalar loop, is never committed.  With an absorbing guard
-    kernel the scan additionally renews the policy's guard in-array
-    (:meth:`_window_floor` / :meth:`_window_budget`), so windows span
-    whole active periods instead of breaking at every renewal.
+    ``stats`` sink), same ``window`` contract, same bookkeeping hooks
+    (``note_memop`` / ``rescan_set`` / ``note_backup`` are inherited).
+    ``window`` runs a short scalar prefix (cheap for the short windows
+    that dominate at guard entry), then scans the remaining steps in
+    doubling chunks of array ops, committing whole hit runs at once
+    and dropping back to scalar semantics only at the single breaking
+    step — which, exactly like the scalar loop, is never committed.
     """
 
     __slots__ = ("script", "_res_bm", "_dirty_bm",
                  "_phases", "_gain", "_vec_off", "_cooloff", "_backoff",
-                 "_gk_floor", "_gk_budget", "stats")
+                 "stats")
 
     def __init__(self, image, arch, jstatic, dirty_reorder,
                  step_energy, access_amount, hit_amount,
-                 overhead_leak=None, hit_ovh=None,
-                 kernel=None, stats=None):
+                 overhead_leak=None, hit_ovh=None, stats=None):
         super().__init__(
             image, arch, jstatic, dirty_reorder,
             step_energy, access_amount, hit_amount,
@@ -532,27 +513,15 @@ class CompiledSpanState(_SpanState):
         self._cooloff = 0
         self._backoff = _ADAPT_COOLOFF
         self.stats = stats
-        # Guard kernels only engage where their closed form is exact:
-        # a floor kernel needs the event-revoked static-floor regime
-        # with no reorder hazards (the estimate must be invariant under
-        # the LRU promotions a committed hit run performs); an
-        # absorbing budget kernel works in any cycle-budget window.
-        self._gk_floor = None
-        self._gk_budget = None
-        if kernel is not None and getattr(kernel, "absorbs", False):
-            if kernel.kind == "floor" and jstatic and not dirty_reorder:
-                self._gk_floor = kernel
-            elif kernel.kind == "budget":
-                self._gk_budget = kernel
 
     # ------------------------------------------------ shared plumbing
     def _fill_bitmaps(self, with_dirty):
         """Residency (and optionally dirtiness) bitmaps over block ids.
 
-        Both are static between breaks — misses end the window, and
-        dirtiness only changes at absorbed events, which update the
-        bitmap in place.  O(cache lines); called after the scalar
-        prefix so its committed stores are reflected.
+        Both are static between breaks — misses and (under an
+        event-revoked guard) clean stores end the window.  O(cache
+        lines); called after the scalar prefix so its committed stores
+        are reflected.
         """
         line_of = self.line_of
         res = self._res_bm
@@ -568,29 +537,6 @@ class CompiledSpanState(_SpanState):
         if dirty_bids:
             dirty[dirty_bids] = True
         return res, dirty
-
-    def _chunk_events(self, blk, bad, dirty, m0):
-        """First store per clean resident block among a chunk's memops.
-
-        These are the dirty-set events a guard kernel renews at:
-        chronological ``(step, block)`` pairs, one per block (a block's
-        later stores find it already dirty).  ``bad`` masks the memops
-        that break structurally — a store at or past the break is
-        never reached, and the caller bounds the walk by the break
-        step anyway.
-        """
-        script = self.script
-        ev = script.is_store[m0:m0 + len(blk)] & ~bad & ~dirty[blk]
-        if not ev.any():
-            return None, None
-        eoff = np.nonzero(ev)[0]
-        ebv = blk[eoff]
-        _, fi = np.unique(ebv, return_index=True)
-        fi.sort()
-        eoff = eoff[fi]
-        esteps = script.mpos[m0 + eoff].tolist()
-        eblks = ebv[fi].tolist()
-        return esteps, eblks
 
     def _phase_end(self, phase_start, k, fwd_pending, ovh_pending,
                    wextra, wloads, wstores):
@@ -663,11 +609,6 @@ class CompiledSpanState(_SpanState):
         script = self.script
         jb = stop
         if gmode == 2:
-            if self._gk_budget is not None:
-                return self._window_budget(
-                    k, stop, energy, fwd_pending, ovh_pending,
-                    floor, growth, skipped, budget,
-                )
             # The budget trip is closed-form: the first step whose
             # exact int64 skipped-cycle total reaches the budget
             # (guard_trip_step).  Its target is invariant under
@@ -700,11 +641,6 @@ class CompiledSpanState(_SpanState):
                     self, k, stop, gmode, energy, fwd_pending,
                     ovh_pending, floor, growth, skipped, budget,
                 )
-        elif self._gk_floor is not None:
-            return self._window_floor(
-                k, stop, energy, fwd_pending, ovh_pending,
-                floor, growth, skipped, budget,
-            )
         prefix_stop = k + _SCALAR_PREFIX
         if prefix_stop >= stop:
             self._note("short_window")
@@ -719,7 +655,7 @@ class CompiledSpanState(_SpanState):
         if out[0] < prefix_stop:
             self._note("prefix_break")
             return out
-        (k, energy, fwd_pending, ovh_pending, floor, skipped, budget,
+        (k, energy, fwd_pending, ovh_pending, floor, skipped,
          wextra, wloads, wstores, _revoke) = out
 
         starts = script.starts
@@ -839,325 +775,7 @@ class CompiledSpanState(_SpanState):
         )
         revoke = self.jstatic and rank in (0, 2, 5, 6, 7)
         return (k, energy, fwd_pending, ovh_pending, floor, skipped,
-                budget, wextra, wloads, wstores, revoke)
-
-    # ------------------------------------------- floor-kernel windows
-    def _window_floor(self, k, stop, energy, fwd_pending, ovh_pending,
-                      floor, growth, skipped, budget):
-        """Static-floor window with in-array guard renewal (JIT).
-
-        Between dirty-set events the floor is constant, so the scalar
-        loop's per-step test is the gathered post-step energy against
-        one scalar.  At each event — the first store to a clean
-        resident block — the scalar path breaks (rank 6), re-executes
-        the store and re-grants a guard at the fresh threshold; here
-        the kernel computes that exact threshold from the running
-        (dirty, probes) counts and the window keeps going, unless the
-        event's post-charge energy no longer clears it (decide() would
-        SHUTDOWN) — then the event breaks uncommitted, exactly like
-        the scalar path.
-        """
-        script = self.script
-        prefix_stop = k + _SCALAR_PREFIX
-        if prefix_stop >= stop:
-            self._note("short_window")
-            return _SpanState.window(
-                self, k, stop, 1, energy, fwd_pending, ovh_pending,
-                floor, growth, skipped, budget,
-            )
-        out = _SpanState.window(
-            self, k, prefix_stop, 1, energy, fwd_pending, ovh_pending,
-            floor, growth, skipped, budget,
-        )
-        if out[0] < prefix_stop:
-            self._note("prefix_break")
-            return out
-        (k, energy, fwd_pending, ovh_pending, floor, skipped, budget,
-         wextra, wloads, wstores, _revoke) = out
-
-        gk = self._gk_floor
-        starts = script.starts
-        flat = script.flat
-        estep = script.estep
-        mprefix = script.mprefix
-        line_of = self.line_of
-        res, dirty = self._fill_bitmaps(True)
-        # Span-static cost state, anchored once per window *after* the
-        # scalar prefix (its stores are already live on the cache).
-        d_cnt, p_cnt = gk.anchor()
-        need_pd = gk.needs_probes
-        absorbed = 0
-        phase_start = k
-        rank = 9
-        chunk = _CHUNK
-        while k < stop:
-            ce = k + chunk
-            if ce > stop:
-                ce = stop
-            if chunk < _CHUNK_MAX:
-                chunk *= 2
-            # Structural breaks: byte ops and misses only — clean
-            # stores are the events the kernel absorbs (reorder
-            # hazards cannot arise: the kernel is gated on
-            # reorder-insensitive estimates).
-            m0 = int(mprefix[k])
-            m1 = int(mprefix[ce])
-            bstep = ce
-            brank = 9
-            esteps = eblks = None
-            if m1 > m0:
-                blk = script.blk[m0:m1]
-                bad = script.is_byte[m0:m1] | ~res[blk]
-                if bad.any():
-                    mb = m0 + int(np.argmax(bad))
-                    bstep = int(script.mpos[mb])
-                    brank = 0 if script.is_byte[mb] else 2
-                esteps, eblks = self._chunk_events(blk, bad, dirty, m0)
-            cap = min(ce, bstep + 1)
-            c0 = int(starts[k])
-            c1 = int(starts[cap])
-            buf = np.empty(c1 - c0 + 1)
-            buf[0] = energy
-            buf[1:] = flat[c0:c1]
-            np.subtract.accumulate(buf, out=buf)
-            series = buf[1:]
-            astep = cap
-            arank = 9
-            if series[-1] < 0.0:
-                ci = int(np.argmax(series < 0.0))
-                astep = int(
-                    np.searchsorted(starts, c0 + ci, side="right")
-                ) - 1
-                arank = _SLOT_RANK[c0 + ci - int(starts[astep])]
-            # Events at or past the earliest break candidate are never
-            # reached; the post-step energies before it are genuine
-            # (every charge up to there was affordable).
-            lim = min(astep, bstep)
-            fstep = -1
-            post = None
-            if esteps is not None or series[-1] <= floor:
-                post = series[estep[k:cap] - c0]
-            seg = k
-            if esteps is not None:
-                for esp, ebid in zip(esteps, eblks):
-                    if esp >= lim:
-                        break
-                    e_ev = float(post[esp - k])
-                    if e_ev <= floor:
-                        # The current floor trips at or before the
-                        # event (post is non-increasing, so the first
-                        # crossing in [seg, esp] is exact).
-                        fstep = seg + int(np.argmax(
-                            post[seg - k: esp - k + 1] <= floor
-                        ))
-                        break
-                    pd = (gk.probe_delta(line_of[ebid].block_addr)
-                          if need_pd else 0)
-                    nfloor = gk.floor(d_cnt + 1, p_cnt + pd)
-                    if e_ev <= nfloor:
-                        # Decline: the fresh threshold is no longer
-                        # cleared — break uncommitted at the event;
-                        # the scalar decide() re-runs the same test
-                        # and takes the SHUTDOWN.
-                        fstep = esp
-                        break
-                    # Absorb: commit the event in-array and renew the
-                    # floor to exactly the re-granted threshold.
-                    floor = nfloor
-                    d_cnt += 1
-                    p_cnt += pd
-                    dirty[ebid] = True
-                    absorbed += 1
-                    seg = esp + 1
-            if fstep < 0 and post is not None and seg < cap:
-                tail = post[seg - k:]
-                if tail[-1] <= floor:
-                    fstep = seg + int(np.argmax(tail <= floor))
-            wstep, wrank = astep, arank
-            if 0 <= fstep < wstep:
-                wstep, wrank = fstep, 5
-            if bstep < wstep or (bstep == wstep and brank < wrank):
-                wstep, wrank = bstep, brank
-            if wstep > k:
-                energy = float(series[int(estep[wstep - 1]) - c0])
-                k = wstep
-            if wrank != 9:
-                rank = wrank
-                break
-
-        (fwd_pending, ovh_pending, wextra, wloads,
-         wstores) = self._phase_end(
-            phase_start, k, fwd_pending, ovh_pending,
-            wextra, wloads, wstores,
-        )
-        st = self.stats
-        if st is not None:
-            st.absorbed_floor += absorbed
-        revoke = rank in (0, 2, 5, 6, 7)
-        return (k, energy, fwd_pending, ovh_pending, floor, skipped,
-                budget, wextra, wloads, wstores, revoke)
-
-    # ------------------------------------------ budget-kernel windows
-    def _window_budget(self, k, stop, energy, fwd_pending, ovh_pending,
-                       floor, growth, skipped, budget):
-        """Cycle-budget window with in-array renewal (Spendthrift).
-
-        Each budget trip is a closed-form ``guard_trip_step`` lookup;
-        at the trip the kernel replicates the scalar ``resync +
-        decide`` pair from the trip step's post-charge energy and the
-        running (dirty, probes) counts — the stores committed so far
-        are folded in first, since the scalar decide() runs after the
-        trip step executes.  A passing check renews the budget and the
-        scan continues; a declining one breaks uncommitted at the trip
-        step and the scalar decide() takes the SHUTDOWN itself.
-        """
-        script = self.script
-        cyc_cum = script.cyc_cum_py
-        if cyc_cum is None:
-            cyc_cum = script.cyc_cum_py = script.cyc_cum.tolist()
-        prefix_stop = k + _SCALAR_PREFIX
-        if prefix_stop >= stop:
-            self._note("short_window")
-            return _SpanState.window(
-                self, k, stop, 2, energy, fwd_pending, ovh_pending,
-                floor, growth, skipped, budget,
-            )
-        out = _SpanState.window(
-            self, k, prefix_stop, 2, energy, fwd_pending, ovh_pending,
-            floor, growth, skipped, budget,
-        )
-        if out[0] < prefix_stop:
-            self._note("prefix_break")
-            return out
-        (k, energy, fwd_pending, ovh_pending, floor, skipped, budget,
-         wextra, wloads, wstores, _revoke) = out
-
-        gk = self._gk_budget
-        starts = script.starts
-        flat = script.flat
-        estep = script.estep
-        mprefix = script.mprefix
-        line_of = self.line_of
-        res, dirty = self._fill_bitmaps(True)
-        d_cnt, p_cnt = gk.anchor()
-        need_pd = gk.needs_probes
-        # ``skipped`` decomposes as skip0 + cycles of the committed
-        # steps since the last renewal (trip_anchor) — both advance in
-        # lockstep with cyc_cum, so each trip lookup is one bisect.
-        trip_anchor = k
-        skip0 = skipped
-        absorbed = 0
-        phase_start = k
-        rank = 9
-        chunk = _CHUNK
-        while k < stop:
-            ce = k + chunk
-            if ce > stop:
-                ce = stop
-            if chunk < _CHUNK_MAX:
-                chunk *= 2
-            # Structural breaks: byte ops and misses (stores to clean
-            # resident lines commit freely in cycle-budget windows;
-            # they are tracked as events only to keep the kernel's
-            # dirty/probe counts current).
-            m0 = int(mprefix[k])
-            m1 = int(mprefix[ce])
-            bstep = ce
-            brank = 9
-            esteps = eblks = None
-            if m1 > m0:
-                blk = script.blk[m0:m1]
-                bad = script.is_byte[m0:m1] | ~res[blk]
-                if bad.any():
-                    mb = m0 + int(np.argmax(bad))
-                    bstep = int(script.mpos[mb])
-                    brank = 0 if script.is_byte[mb] else 2
-                esteps, eblks = self._chunk_events(blk, bad, dirty, m0)
-            cap = min(ce, bstep + 1)
-            c0 = int(starts[k])
-            c1 = int(starts[cap])
-            buf = np.empty(c1 - c0 + 1)
-            buf[0] = energy
-            buf[1:] = flat[c0:c1]
-            np.subtract.accumulate(buf, out=buf)
-            series = buf[1:]
-            astep = cap
-            arank = 9
-            if series[-1] < 0.0:
-                ci = int(np.argmax(series < 0.0))
-                astep = int(
-                    np.searchsorted(starts, c0 + ci, side="right")
-                ) - 1
-                arank = _SLOT_RANK[c0 + ci - int(starts[astep])]
-            lim = min(astep, bstep)
-            n_ev = len(esteps) if esteps is not None else 0
-            ev_i = 0
-            tstep = -1
-            while True:
-                jb = guard_trip_step(cyc_cum, trip_anchor, skip0, budget)
-                if jb >= lim:
-                    break  # trips after a break candidate: not ours
-                # Fold the stores committed up to (and including) the
-                # trip step into the cost counts — the scalar decide()
-                # runs after the trip step executes.
-                while ev_i < n_ev and esteps[ev_i] <= jb:
-                    ebid = eblks[ev_i]
-                    d_cnt += 1
-                    if need_pd:
-                        p_cnt += gk.probe_delta(line_of[ebid].block_addr)
-                    dirty[ebid] = True
-                    ev_i += 1
-                e_post = float(series[int(estep[jb]) - c0])
-                nb = gk.trip(
-                    e_post,
-                    skip0 + (cyc_cum[jb + 1] - cyc_cum[trip_anchor]),
-                    d_cnt, p_cnt,
-                )
-                if nb is None:
-                    # Decline: break uncommitted at the trip step; the
-                    # scalar decide() redraws the identical check (the
-                    # kernel rewound any RNG state) and shuts down.
-                    # Counts folded for this step die with the window.
-                    tstep = jb
-                    break
-                absorbed += 1
-                budget = nb
-                trip_anchor = jb + 1
-                skip0 = 0
-            wstep, wrank = astep, arank
-            if bstep < wstep or (bstep == wstep and brank < wrank):
-                wstep, wrank = bstep, brank
-            if tstep >= 0:
-                # A declined trip precedes every other candidate
-                # (the trip loop only ran while jb < lim).
-                wstep, wrank = tstep, 5
-            # Fold the remaining committed stores so the next chunk's
-            # trips see current counts.
-            while ev_i < n_ev and esteps[ev_i] < wstep:
-                ebid = eblks[ev_i]
-                d_cnt += 1
-                if need_pd:
-                    p_cnt += gk.probe_delta(line_of[ebid].block_addr)
-                dirty[ebid] = True
-                ev_i += 1
-            if wstep > k:
-                energy = float(series[int(estep[wstep - 1]) - c0])
-                k = wstep
-            if wrank != 9:
-                rank = wrank
-                break
-
-        skipped = skip0 + (cyc_cum[k] - cyc_cum[trip_anchor])
-        (fwd_pending, ovh_pending, wextra, wloads,
-         wstores) = self._phase_end(
-            phase_start, k, fwd_pending, ovh_pending,
-            wextra, wloads, wstores,
-        )
-        st = self.stats
-        if st is not None:
-            st.absorbed_budget += absorbed
-        return (k, energy, fwd_pending, ovh_pending, floor, skipped,
-                budget, wextra, wloads, wstores, False)
+                wextra, wloads, wstores, revoke)
 
     def _apply_effects(self, ma, mz):
         """Apply the net memory side effects of committed hits [ma, mz).
@@ -1241,8 +859,7 @@ class CompiledSpanState(_SpanState):
 
 def make_span(image, arch, jstatic, dirty_reorder,
               step_energy, access_amount, hit_amount,
-              overhead_leak=None, hit_ovh=None,
-              kernel=None, stats=None):
+              overhead_leak=None, hit_ovh=None, stats=None):
     """A :class:`CompiledSpanState`, or None on any construction
     failure — the caller falls back to the scalar ``_SpanState``, so a
     corrupt store entry or an unexpected geometry can never take a
@@ -1251,8 +868,7 @@ def make_span(image, arch, jstatic, dirty_reorder,
         return CompiledSpanState(
             image, arch, jstatic, dirty_reorder,
             step_energy, access_amount, hit_amount,
-            overhead_leak, hit_ovh,
-            kernel=kernel, stats=stats,
+            overhead_leak, hit_ovh, stats=stats,
         )
     except Exception:
         return None

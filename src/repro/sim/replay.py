@@ -29,15 +29,11 @@ Replay is used when:
 Quantum windows run through the compiled-epoch executor
 (:mod:`repro.sim.epochs`) by default — whole failure-free epochs as
 array ops over a precompiled per-(geometry, cost-table) script, bit
-identical to the scalar window.  Policies may additionally lower their
-guard *renewal* into the array pass via a declarative guard kernel
-(:meth:`~repro.policies.base.BackupPolicy.compile_guard`), letting
-compiled windows span whole active periods; ``per-run`` coverage is
-recorded in :attr:`ReplayPlatform.stats`.  ``REPRO_REPLAY_COMPILED=0``
-(or ``ReplayPlatform(..., compiled=False)``) forces the scalar
-:class:`_SpanState`; ``REPRO_REPLAY_GUARD_KERNELS=0`` keeps compiled
-windows but disables in-array guard renewal; compiled-script
-construction failures fall back automatically.
+identical to the scalar window; per-run coverage is recorded in
+:attr:`ReplayPlatform.stats`.  ``REPRO_REPLAY_COMPILED=0`` (or
+``ReplayPlatform(..., compiled=False)``) forces the scalar
+:class:`_SpanState`; compiled-script construction failures fall back
+automatically.
 
 Fault injectors (:mod:`repro.energy.faultinject`) work under replay —
 their hooks fire at the same execution boundaries — which the
@@ -76,14 +72,6 @@ _stored_seeds = set()
 def replay_enabled():
     """Whether replay integration is on (``REPRO_REPLAY=0`` disables)."""
     return os.environ.get("REPRO_REPLAY", "1") not in ("0", "")
-
-
-def guard_kernels_enabled():
-    """Whether policy guard kernels drive compiled replay
-    (``REPRO_REPLAY_GUARD_KERNELS=0`` disables, keeping the compiled
-    executor but breaking every window at guard renewal — the A/B
-    baseline for the in-array renewal path)."""
-    return os.environ.get("REPRO_REPLAY_GUARD_KERNELS", "1") not in ("0", "")
 
 
 def replay_supported(config):
@@ -358,12 +346,10 @@ class _SpanState:
         """Run one quantum window; returns the exit state.
 
         ``(k, energy, fwd_pending, ovh_pending, floor, skipped,
-        budget, wextra, wloads, wstores, revoke)`` — the breaking step
-        is never committed, and within a step the simulator's check
-        order decides which break wins (kind > 1, per-charge
-        affordability, miss, guard, clean store, reorder hazard).
-        ``budget`` passes through unchanged here; an executor with an
-        absorbing guard kernel may return a renewed one.
+        wextra, wloads, wstores, revoke)`` — the breaking step is never
+        committed, and within a step the simulator's check order
+        decides which break wins (kind > 1, per-charge affordability,
+        miss, guard, clean store, reorder hazard).
 
         One loop per guard regime — cycle budget (watchdog /
         spendthrift), static floor (event-revoked guard), growing
@@ -608,31 +594,27 @@ class _SpanState:
                 k += 1
         revoke = self.jstatic and rank in (0, 2, 5, 6, 7)
         return (k, energy, fwd_pending, ovh_pending, floor, skipped,
-                budget, wextra, wloads, wstores, revoke)
+                wextra, wloads, wstores, revoke)
 
 
 class ReplayStats:
     """Per-run replay instrumentation.
 
     Counts every quantum window the run executes and how many of them
-    (and of their steps) the compiled executor served, the guard
-    renewals it absorbed in-array, and a histogram of why windows fell
-    back to the scalar path.  Cheap enough to stay on unconditionally
+    (and of their steps) the compiled executor served, and a histogram
+    of why windows fell back to the scalar path.  Cheap enough to stay on unconditionally
     (two integer adds per window); surfaced by ``bench_replay.py
     --profile`` and recorded in ``BENCH_replay.json``.
     """
 
     __slots__ = ("windows", "window_steps", "compiled_windows",
-                 "compiled_steps", "absorbed_floor", "absorbed_budget",
-                 "fallbacks")
+                 "compiled_steps", "fallbacks")
 
     def __init__(self):
         self.windows = 0
         self.window_steps = 0
         self.compiled_windows = 0
         self.compiled_steps = 0
-        self.absorbed_floor = 0
-        self.absorbed_budget = 0
         self.fallbacks = {}
 
     def note_fallback(self, reason):
@@ -663,8 +645,6 @@ class ReplayStats:
             "compiled_hit_rate": self.compiled_hit_rate,
             "mean_window_steps": self.mean_window_steps,
             "mean_compiled_steps": self.mean_compiled_steps,
-            "absorbed_floor": self.absorbed_floor,
-            "absorbed_budget": self.absorbed_budget,
             "fallbacks": dict(sorted(self.fallbacks.items())),
         }
 
@@ -681,7 +661,7 @@ class ReplayPlatform(Platform):
     the differential suite compares both.
     """
 
-    __slots__ = ("_image", "_mark", "_k", "_compiled", "_gkernel", "stats")
+    __slots__ = ("_image", "_mark", "_k", "_compiled", "stats")
 
     def __init__(self, program, image, config=None, trace=None,
                  benchmark_name="", compiled=None):
@@ -698,9 +678,6 @@ class ReplayPlatform(Platform):
         #: Compiled-epoch windows: True/False force, None = the
         #: ``REPRO_REPLAY_COMPILED`` knob (resolved per run).
         self._compiled = compiled
-        #: The policy's guard kernel for this run (None when the policy
-        #: declares none, or guard kernels are disabled); set per run.
-        self._gkernel = None
         #: Per-run :class:`ReplayStats` (reset at each ``run``).
         self.stats = ReplayStats()
         #: Trace cursor a backup taken *now* would checkpoint.
@@ -734,13 +711,6 @@ class ReplayPlatform(Platform):
         arch = self.arch
         self.policy.reset(self)
         self.stats = ReplayStats()
-        kernel = None
-        if guard_kernels_enabled():
-            try:
-                kernel = self.policy.compile_guard(self)
-            except Exception:
-                kernel = None  # advisory: scalar renewal always works
-        self._gkernel = kernel
         self._mark = 0
         self._k = 0
         self.nvm.commit_checkpoint(arch.snapshot_payload())
@@ -751,19 +721,14 @@ class ReplayPlatform(Platform):
             self._power_failure()
         hook = self.core.on_retire
         if hook is not None:
-            if (
-                kernel is not None
-                and kernel.kind == "boundary"
-                and getattr(hook, "__self__", None) is self.policy
-            ):
+            opcodes = getattr(self.policy, "boundary_opcodes", None)
+            if opcodes and getattr(hook, "__self__", None) is self.policy:
                 # The policy's retire hook only inspects instruction
                 # opcodes, and those sit at fixed trace positions: a
                 # precomputed per-step mask replaces the hook and the
                 # run keeps the turbo stream loop (inline hit path)
                 # instead of dropping to the hooked reference mirror.
-                boundary = self._image.boundary_steps(
-                    self.program, kernel.opcodes
-                )
+                boundary = self._image.boundary_steps(self.program, opcodes)
                 self.core.on_retire = None
                 try:
                     self._replay_stream(boundary=boundary)
@@ -784,13 +749,11 @@ class ReplayPlatform(Platform):
         ``compiled=`` override or the ``REPRO_REPLAY_COMPILED`` knob —
         with automatic fallback to the scalar :class:`_SpanState` when
         construction fails; scalar otherwise.  Both are bit-identical;
-        only the batching differs.  The policy's guard kernel (if any)
-        is threaded through so the executor can renew guards in-array.
+        only the batching differs.
         """
         from repro.sim import epochs
 
         stats = self.stats
-        kernel = self._gkernel
         use_compiled = self._compiled
         if use_compiled is None:
             use_compiled = epochs.compiled_enabled()
@@ -800,24 +763,16 @@ class ReplayPlatform(Platform):
             # A policy whose guard budgets are structurally capped below
             # the vectorization breakeven (Spendthrift's check_interval)
             # can never profit from a compiled span — every window would
-            # fall back scalar and pay the delegation for nothing —
-            # *unless* an absorbing kernel renews those budgets
-            # in-array, which removes the cap entirely.
+            # fall back scalar and pay the delegation for nothing.
             hint = getattr(self.policy, "quantum_budget_hint", None)
-            if (
-                hint is not None
-                and hint < epochs._GM2_MIN_SPAN
-                and not (kernel is not None
-                         and getattr(kernel, "absorbs", False))
-            ):
+            if hint is not None and hint < epochs._GM2_MIN_SPAN:
                 stats.note_fallback("policy_hint")
                 use_compiled = False
         if use_compiled:
             span = epochs.make_span(
                 self._image, self.arch, jstatic, dirty_reorder,
                 step_energy, access_amount, hit_amount,
-                overhead_leak, hit_ovh,
-                kernel=kernel, stats=stats,
+                overhead_leak, hit_ovh, stats=stats,
             )
             if span is not None:
                 return span
@@ -848,10 +803,10 @@ class ReplayPlatform(Platform):
         float chains are each original's, bit for bit).
 
         ``boundary``, when given, is a per-step boolean mask standing
-        in for a boundary guard kernel's retire hook (see ``run``):
-        the kernel's ``note_boundary`` fires at exactly the retire
-        points the hook would have seen, and the run keeps this loop's
-        turbo inline hit path.
+        in for the policy's retire hook (see ``run``): the policy's
+        ``note_boundary`` fires at exactly the retire points the hook
+        would have seen, and the run keeps this loop's turbo inline
+        hit path.
         """
         image = self._image
         cyc = image.cycles
@@ -907,7 +862,7 @@ class ReplayPlatform(Platform):
         arch_load = arch.load
         arch_store = arch.store
         note_boundary = (
-            self._gkernel.note_boundary if boundary is not None else None
+            policy.note_boundary if boundary is not None else None
         )
         rstats = self.stats
         span = None
@@ -959,7 +914,7 @@ class ReplayPlatform(Platform):
                         stop = k + rem
                     if span is not None:
                         (k, energy, fwd_pending, ovh_pending, floor,
-                         skipped, budget, wextra, wloads, wstores,
+                         skipped, wextra, wloads, wstores,
                          revoke) = span.window(
                             k, stop, gmode, capacitor.energy,
                             ledger._fwd_pending,

@@ -303,10 +303,11 @@ class ReplayImage:
     def boundary_steps(self, program, opcodes):
         """Per-step ``True`` where the retired opcode is in ``opcodes``.
 
-        Boundary-kind guard kernels (e.g. the task policy's call-site
-        detector) consult this mask instead of installing a per-retire
-        core hook: the trace already fixes which instruction retires at
-        every step, so the hook's opcode test is a table lookup.
+        Replay consults this mask for policies that declare
+        ``boundary_opcodes`` (the task policy's call-site detector)
+        instead of running their per-retire core hook: the trace
+        already fixes which instruction retires at every step, so the
+        hook's opcode test is a table lookup.
         Cached per opcode set.
         """
         key = tuple(sorted(int(op) for op in opcodes))

@@ -15,11 +15,16 @@ backups must fail identically under replay).
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import ARCHITECTURES
 from repro.energy.traces import HarvestTrace
 from repro.policies import POLICIES
+from repro.sim import epochs
+from repro.sim.epochs import guard_trip_step
 from repro.sim.platform import Platform, PlatformConfig, SimulationError
 from repro.sim.replay import (
     ReplayPlatform,
@@ -188,7 +193,6 @@ def test_ideal_is_bypassed():
 def test_compiled_knob_and_fallback(monkeypatch):
     """``REPRO_REPLAY_COMPILED`` selects the window executor, and any
     construction failure falls back to the scalar window silently."""
-    from repro.sim import epochs
     from repro.sim.replay import _SpanState
 
     program = load_program("hist")
@@ -225,18 +229,22 @@ def test_compiled_knob_and_fallback(monkeypatch):
     assert type(span_of(platform)) is _SpanState
 
 
-def test_compiled_replay_equals_scalar_under_adversarial_chunking(monkeypatch):
+@pytest.mark.parametrize("arch", ["clank", "nvmr"])
+@pytest.mark.parametrize("policy", ["jit", "spendthrift", "watchdog"])
+def test_compiled_replay_equals_scalar_under_adversarial_chunking(
+    monkeypatch, policy, arch
+):
     """Pathological chunk boundaries (prefix=1, chunk=2) must not move
-    a single bit — every window exercises the chunk-edge logic."""
-    from repro.sim import epochs
-
+    a single bit — every window exercises the chunk-edge logic, under
+    each guard regime: JIT's event-revoked floor, and the cycle budgets
+    of spendthrift and the watchdog."""
     monkeypatch.setattr(epochs, "_SCALAR_PREFIX", 1)
     monkeypatch.setattr(epochs, "_CHUNK", 2)
     monkeypatch.setattr(epochs, "_GM2_MIN_SPAN", 1)
     monkeypatch.setattr(epochs, "_ADAPT_MIN_GAIN", 0)
     program = load_program("hist")
     image = get_image("hist")
-    config = PlatformConfig(arch="nvmr", policy="watchdog")
+    config = PlatformConfig(arch=arch, policy=policy)
     results = {}
     for compiled in (False, True):
         platform = ReplayPlatform(
@@ -251,6 +259,66 @@ def test_compiled_replay_equals_scalar_under_adversarial_chunking(monkeypatch):
             scalar_result, name
         ), name
     assert compiled_platform.nvm._words == scalar_platform.nvm._words
+    # The compiled executor must actually have carried some windows.
+    assert compiled_platform.stats.compiled_windows > 0
+
+
+def test_task_replay_uses_boundary_mask(monkeypatch):
+    """The task policy's call-boundary opcodes stand in for its retire
+    hook: replay keeps the stream loop (never the hooked reference
+    mirror) and still matches the fast engine bit for bit."""
+    program = load_program("hist")
+    image = get_image("hist")
+    config = PlatformConfig(arch="nvmr", policy="task")
+
+    def no_hooked(self):
+        raise AssertionError("task replay fell back to _replay_hooked")
+
+    monkeypatch.setattr(ReplayPlatform, "_replay_hooked", no_hooked)
+    replay = ReplayPlatform(
+        program, image, config, trace=HarvestTrace(0), benchmark_name="hist"
+    )
+    replay_result = replay.run()
+    fast = Platform(
+        program, config, trace=HarvestTrace(0), benchmark_name="hist"
+    )
+    fast_result = fast.run()
+    for name in fast_result.__dataclass_fields__:
+        assert getattr(replay_result, name) == getattr(fast_result, name), name
+    assert replay.nvm._words == fast.nvm._words
+
+
+# ------------------------------------------------- guard_trip_step
+def _scalar_trip_step(cycles, k, skipped, budget):
+    """The scalar guard loop: first step whose cycles trip the budget."""
+    for t in range(k, len(cycles)):
+        skipped += cycles[t]
+        if skipped >= budget:
+            return t
+    return len(cycles)  # budget outlives the trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cycles=st.lists(st.integers(min_value=1, max_value=9), min_size=1,
+                    max_size=40),
+    k_frac=st.floats(min_value=0.0, max_value=1.0),
+    skipped=st.integers(min_value=0, max_value=30),
+    budget=st.integers(min_value=1, max_value=120),
+)
+def test_guard_trip_step_matches_scalar_loop(cycles, k_frac, skipped, budget):
+    cyc_cum = np.zeros(len(cycles) + 1, dtype=np.int64)
+    np.cumsum(cycles, out=cyc_cum[1:])
+    k = int(k_frac * (len(cycles) - 1))
+    # The executor only ever asks with skipped < budget (a guard that
+    # already tripped is revoked before any lookup).
+    if skipped >= budget:
+        skipped = budget - 1
+    # Both forms report "budget outlives the trace" as index len(cycles)
+    # (== len(cyc_cum) - 1, one past the last real step).
+    assert guard_trip_step(cyc_cum, k, skipped, budget) == _scalar_trip_step(
+        cycles, k, skipped, budget
+    )
 
 
 def test_span_tables_cache_is_lru():

@@ -1,10 +1,15 @@
 """The content-addressed on-disk trace store."""
 
 import json
+import zipfile
 
+import numpy as np
 import pytest
 
-from repro.sim import tracestore
+from repro.energy.traces import HarvestTrace
+from repro.sim import epochs, tracestore
+from repro.sim.platform import PlatformConfig
+from repro.sim.replay import ReplayPlatform, get_image
 from repro.sim.trace import TRACE_VERSION, record_trace
 from repro.workloads import load_program
 
@@ -175,3 +180,65 @@ def test_disabled_store_is_inert(store, hist_trace, monkeypatch):
     assert not tracestore.contains(phash, 0)
     assert tracestore.fetch(phash, 0) is None
     assert not (store / "keys").exists()
+
+
+# ------------------------------------------- corrupted script == miss
+def test_corrupted_script_reads_as_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_RUN_CACHE", "1")
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    key = epochs.script_key("deadbeef", (1, 2, 3), (1.0, 2.0, 3.0, None, None))
+    path = epochs._scripts().path(key)
+    # Absent entry: a miss.
+    assert epochs.fetch_script("deadbeef", (1, 2, 3),
+                               (1.0, 2.0, 3.0, None, None)) is None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # Garbage bytes: not a zip at all.
+    path.write_bytes(b"\x00garbage\xff" * 64)
+    assert epochs.fetch_script("deadbeef", (1, 2, 3),
+                               (1.0, 2.0, 3.0, None, None)) is None
+    # A valid zip with the wrong member set: still a miss, not a crash.
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("not_a_script.txt", "hello")
+    assert epochs.fetch_script("deadbeef", (1, 2, 3),
+                               (1.0, 2.0, 3.0, None, None)) is None
+    # A stale version stamp: rebuilt, never silently replayed.
+    buf_path = tmp_path / "stale.npz"
+    np.savez(buf_path, meta=np.asarray([epochs.EPOCH_SCRIPT_VERSION + 1,
+                                        0, 0, 0, 0], dtype=np.int64))
+    path.write_bytes(buf_path.read_bytes())
+    assert epochs.fetch_script("deadbeef", (1, 2, 3),
+                               (1.0, 2.0, 3.0, None, None)) is None
+
+
+def test_corrupted_store_rebuilds_bit_identically(tmp_path, monkeypatch):
+    """End to end: poison every stored script mid-sweep; the rebuilt
+    compiled replay must still match the scalar replay bit for bit."""
+    monkeypatch.setenv("REPRO_RUN_CACHE", "1")
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    program = load_program("hist")
+    image = get_image("hist")
+    # Earlier tests may have populated the image's in-memory script LRU
+    # under the real store; drop it so this run goes through the
+    # redirected disk store.
+    image._epoch_scripts.clear()
+    config = PlatformConfig(arch="nvmr", policy="jit")
+
+    def run(compiled):
+        platform = ReplayPlatform(
+            program, image, config, trace=HarvestTrace(0),
+            benchmark_name="hist", compiled=compiled,
+        )
+        return platform.run(), platform
+
+    scalar_result, scalar_platform = run(False)
+    first_result, _ = run(True)
+    script_files = list((tmp_path / "traces").rglob("*.npz"))
+    assert script_files  # the run persisted at least one script
+    for stored in script_files:
+        stored.write_bytes(b"PK\x03\x04 not really")
+    image._epoch_scripts.clear()  # drop the in-memory LRU too
+    second_result, second_platform = run(True)
+    for name in scalar_result.__dataclass_fields__:
+        assert getattr(second_result, name) == getattr(first_result, name)
+        assert getattr(second_result, name) == getattr(scalar_result, name)
+    assert second_platform.nvm._words == scalar_platform.nvm._words
