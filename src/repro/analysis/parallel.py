@@ -8,7 +8,7 @@ and seeds the cache; the drivers then find every run already cached.
 
 Since the service refactor the execution core lives in
 :mod:`repro.service.scheduler` — job planning against both cache
-layers, trace pre-seeding, the bounded/backpressured process pool and
+layers, trace pre-seeding, the long-lived backpressured worker pool and
 in-flight deduplication are the process-wide scheduler's.  This module
 keeps the synchronous surface the engine, benchmarks and tests call
 (bit-identical to the pre-service code) and translates the scheduler's
@@ -29,8 +29,10 @@ Jobs already present in the persistent disk cache
 being dispatched, and fresh results are written back to it, so a
 parallel prefetch seeds exactly the entries serial execution would.
 
-Workers each pay a one-time benchmark-compilation cost (~10 s); jobs
-are deterministic, so parallel and serial results are identical.
+Workers are the scheduler's long-lived pool, so a worker's warm-up
+(replay images, epoch scripts, Spendthrift's model) is paid once per
+sweep, not once per experiment; jobs are deterministic, so parallel
+and serial results are identical.
 """
 
 from repro.analysis import experiments as exp

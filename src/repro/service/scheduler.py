@@ -3,8 +3,8 @@
 Extracted from the experiment engine's parallel path (PR 3's
 ``prefetch_runs``): everything about *executing* a batch of
 ``(benchmark, config, trace_seed)`` jobs lives here — planning against
-the two cache layers, trace pre-seeding, bounded process pools with a
-backpressured submission window, in-flight deduplication of identical
+the two cache layers, trace pre-seeding, a long-lived worker pool with
+a backpressured submission window, in-flight deduplication of identical
 job keys across concurrent callers, and structured
 :class:`ProgressEvent`\\ s.  The synchronous callers
 (:func:`repro.analysis.parallel.prefetch_runs`, and through it
@@ -21,16 +21,35 @@ One :class:`Scheduler` serves any number of calling threads.  Each
 under a lock; a job another caller already owns is not re-executed —
 the second caller waits on the owner's completion event and reads the
 result from the shared run cache (counted in ``dedup_hits``, the
-counter the service smoke test asserts).  Fresh jobs go to a
-``ProcessPoolExecutor`` with a bounded submission window (at most
+counter the service smoke test asserts).  Fresh jobs go to the
+scheduler's worker pool with a bounded submission window (at most
 ``2 x workers`` outstanding futures — backpressure: a paper-scale
 grid never materializes thousands of pickled futures), drained
 as-completed so one slow job never blocks collection of fast ones.
+
+Worker pool lifetime
+--------------------
+A :class:`Scheduler` keeps one long-lived ``ProcessPoolExecutor`` that
+every parallel :meth:`Scheduler.run` reuses, so a sweep of many
+experiments forks its workers once and they stay warm (compiled
+programs, Spendthrift's trained model, the current benchmark's replay
+image and epoch scripts).  Workers are forked, so they see module
+state as of pool creation.  The pool is therefore keyed by worker
+count, the ``REPRO_*`` environment and the workload registry's
+generation (:func:`repro.workloads.registry.registry_generation`), and
+re-created when any of them changes.  A pool is never shut down while
+a run uses it; a pool a dead worker broke is discarded (that run still
+raises, the next run gets a fresh pool); the pool is closed at
+interpreter exit and when the HTTP service stops.  To bound their
+memory, pool workers keep replay state for one benchmark at a time
+(:func:`repro.sim.replay.retain_benchmark`).
 """
 
+import atexit
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 
@@ -48,6 +67,28 @@ def _execute(job):
 
     result = _simulate(benchmark, config, seed)
     return job, result
+
+
+def _pool_execute(job):
+    """Pool-worker entry point: drop the replay state of every other
+    benchmark (a long-lived worker would otherwise keep one image per
+    benchmark it ever ran), then :func:`_execute` the job."""
+    from repro.sim.replay import retain_benchmark
+
+    retain_benchmark(job[0])
+    return _execute(job)
+
+
+def _pool_key(workers):
+    """What a forked worker pool depends on: its size, the ``REPRO_*``
+    environment the workers inherited and the workload registry."""
+    from repro.workloads.registry import registry_generation
+
+    env = tuple(sorted(
+        (name, value) for name, value in os.environ.items()
+        if name.startswith("REPRO_")
+    ))
+    return workers, env, registry_generation()
 
 
 def _job_kind(job):
@@ -108,6 +149,14 @@ class Scheduler:
         self.executed = 0
         self.cache_hits = 0
         self.dedup_hits = 0
+        self.pools_started = 0
+        #: The pool new runs use, and the :func:`_pool_key` it was
+        #: forked under.
+        self._pool = None
+        self._pool_key = None
+        #: pool -> number of runs using it (the current pool and any
+        #: replaced one still draining).
+        self._pool_users = {}
 
     def stats(self):
         """Lifetime counters, for ``/status`` and the smoke gates."""
@@ -117,8 +166,57 @@ class Scheduler:
                 "executed": self.executed,
                 "cache_hits": self.cache_hits,
                 "dedup_hits": self.dedup_hits,
+                "pools_started": self.pools_started,
                 "inflight": len(self._inflight),
             }
+
+    # ---------------------------------------------------- worker pool
+    def _acquire_pool(self, workers):
+        """The current pool for ``workers`` processes (re-created when
+        its key changed), counted as in use until :meth:`_release_pool`."""
+        key = _pool_key(workers)
+        with self._lock:
+            previous = self._pool
+            if self._pool_key != key:
+                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self._pool_key = key
+                self._pool_users[self._pool] = 0
+                self.pools_started += 1
+            pool = self._pool
+            self._pool_users[pool] += 1
+            stale = self._unused(previous)
+        if stale is not None:
+            stale.shutdown()
+        return pool
+
+    def _release_pool(self, pool, broken=False):
+        """End one run's use of ``pool``; a broken pool is discarded."""
+        with self._lock:
+            self._pool_users[pool] -= 1
+            if broken and pool is self._pool:
+                self._pool = self._pool_key = None
+            stale = self._unused(pool)
+        if stale is not None:
+            stale.shutdown()
+
+    def close(self):
+        """Retire the worker pool; it shuts down once no run uses it,
+        and the next parallel run starts a fresh one."""
+        with self._lock:
+            pool = self._pool
+            self._pool = self._pool_key = None
+            stale = self._unused(pool)
+        if stale is not None:
+            stale.shutdown()
+
+    def _unused(self, pool):
+        """``pool`` if it is retired and no run uses it — dropped from
+        the books for the caller to shut down outside the lock — else
+        None.  The caller holds the lock."""
+        if pool is None or pool is self._pool or self._pool_users[pool]:
+            return None
+        del self._pool_users[pool]
+        return pool
 
     def run(self, jobs, workers=None, on_event=None):
         """Execute ``jobs`` (iterable of ``(benchmark, config, seed)``)
@@ -225,12 +323,15 @@ class Scheduler:
                     # queue never holds more than ~2 jobs per worker.
                     queue = list(reversed(fresh_jobs))
                     window = max(workers * 2, 2)
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        running = {}
+                    pool = self._acquire_pool(workers)
+                    broken = False
+                    running = {}
+                    try:
                         while queue or running:
                             while queue and len(running) < window:
                                 key, job = queue.pop()
-                                running[pool.submit(_execute, job)] = (key, job)
+                                future = pool.submit(_pool_execute, job)
+                                running[future] = (key, job)
                             completed, _ = wait(
                                 running, return_when=FIRST_COMPLETED
                             )
@@ -238,6 +339,16 @@ class Scheduler:
                                 key, job = running.pop(future)
                                 _, result = future.result()
                                 _finish(key, job, result)
+                    except BrokenProcessPool:
+                        broken = True
+                        raise
+                    finally:
+                        # A failed run must not leave its queued jobs
+                        # running on a pool other runs share.
+                        for future in running:
+                            future.cancel()
+                        wait(running)
+                        self._release_pool(pool, broken)
         except BaseException:
             # Never leave claimed keys in flight: borrowers elsewhere
             # would block on jobs nobody is executing any more.
@@ -295,4 +406,5 @@ def get_scheduler():
     with _scheduler_lock:
         if _scheduler is None:
             _scheduler = Scheduler()
+            atexit.register(_scheduler.close)
         return _scheduler

@@ -49,8 +49,8 @@ class ServiceError(Exception):
 class SimulationService:
     """Transport-independent service core: submit and execute jobs.
 
-    ``max_active`` bounds concurrently *executing* jobs (each runs the
-    engine with its own worker pool); ``max_pending`` bounds the total
+    ``max_active`` bounds concurrently *executing* jobs (they share the
+    scheduler's ``workers`` processes); ``max_pending`` bounds the total
     queued+running backlog — submissions beyond it are refused with 503
     (backpressure) rather than queued without bound.
     """
@@ -251,6 +251,7 @@ class SimulationService:
 
     def close(self):
         self._executor.shutdown(wait=False, cancel_futures=True)
+        self.scheduler.close()
 
 
 # ------------------------------------------------------------ HTTP layer

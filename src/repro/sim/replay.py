@@ -42,6 +42,7 @@ experiment engine, however, only routes pure :class:`HarvestTrace`
 sweeps through replay.
 """
 
+import gc
 import os
 from dataclasses import replace
 
@@ -98,6 +99,23 @@ def clear_replay_caches():
     _trace_cache.clear()
     _image_cache.clear()
     _stored_seeds.clear()
+
+
+def retain_benchmark(benchmark):
+    """Drop every other benchmark's cached trace and image — and with
+    the image its derived layouts and epoch scripts.  Long-lived pool
+    workers call this per job, so their memory holds one benchmark's
+    replay state, not one per benchmark they ever ran."""
+    dropped = False
+    for cache in (_trace_cache, _image_cache):
+        for name in [name for name in cache if name != benchmark]:
+            del cache[name]
+            dropped = True
+    if dropped:
+        # A finished platform is a reference cycle (core <-> arch) that
+        # keeps its image alive until a full collection, which a busy
+        # worker rarely reaches on its own.
+        gc.collect()
 
 
 def ensure_trace(benchmark, trace_seed=0):

@@ -180,6 +180,29 @@ def record_trace(program, max_steps=DEFAULT_RECORD_MAX_STEPS, allow_partial=Fals
     )
 
 
+#: Entries each of :class:`ReplayImage`'s derived caches keeps: a sweep
+#: touches a handful of cache geometries and cost tables at a time, and
+#: each entry is per-step data (tens of MB for the longest traces).
+DERIVED_CACHE_ENTRIES = 4
+
+
+def _lru_get(cache, key):
+    """``cache[key]`` refreshed to most-recently-used, or None."""
+    value = cache.get(key)
+    if value is not None:
+        cache[key] = cache.pop(key)
+    return value
+
+
+def _lru_put(cache, key, value):
+    """Insert ``value``, evicting the least-recently-used entry when
+    the cache already holds :data:`DERIVED_CACHE_ENTRIES`."""
+    if len(cache) >= DERIVED_CACHE_ENTRIES:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
+
+
 class ReplayImage:
     """A trace preprocessed into the flat structures replay loops index.
 
@@ -338,7 +361,7 @@ class ReplayImage:
         of a sweep with the same cache shape shares one layout.
         """
         key = (block_mask, set_shift, set_mask)
-        cached = self._geom_layouts.get(key)
+        cached = _lru_get(self._geom_layouts, key)
         if cached is not None:
             return cached
         addrs = self._mem_addrs
@@ -358,8 +381,7 @@ class ReplayImage:
             ),
         ):
             layout[pos] = tup
-        self._geom_layouts[key] = layout
-        return layout
+        return _lru_put(self._geom_layouts, key, layout)
 
     def span_support(self):
         """Geometry-independent arrays for vectorized span replay.
@@ -399,7 +421,7 @@ class ReplayImage:
         post-commit state pass iterates.
         """
         key = (block_mask, set_shift, set_mask)
-        cached = self._span_geoms.get(key)
+        cached = _lru_get(self._span_geoms, key)
         if cached is not None:
             return cached
         addrs = self._mem_addrs
@@ -426,7 +448,7 @@ class ReplayImage:
         is_store = (kinds == STORE_WORD) | (kinds == STORE_BYTE)
         store_prefix = np.zeros(len(kinds) + 1, dtype=np.int64)
         np.cumsum(is_store, out=store_prefix[1:])
-        cached = {
+        return _lru_put(self._span_geoms, key, {
             "blk": blk,
             "nblocks": len(uniq),
             "id_of_block": {int(b): i for i, b in enumerate(uniq)},
@@ -438,9 +460,7 @@ class ReplayImage:
             "val": self._mem_values.astype(np.int64),
             "mtups": mtups,
             "mstep": mstep,
-        }
-        self._span_geoms[key] = cached
-        return cached
+        })
 
     def span_tables(self, step_energy, access_amount, hit_amount,
                     overhead_leak=None, hit_ovh=None):
@@ -459,11 +479,8 @@ class ReplayImage:
         """
         key = (step_energy, access_amount, hit_amount,
                overhead_leak, hit_ovh)
-        cached = self._span_tables.get(key)
+        cached = _lru_get(self._span_tables, key)
         if cached is not None:
-            # LRU: refresh on hit, so an alternating access pattern over
-            # a handful of cost tables never thrashes the 4-entry cap.
-            self._span_tables[key] = self._span_tables.pop(key)
             return cached
         n = self.steps
         is_mem = self.span_support()[2]
@@ -485,30 +502,24 @@ class ReplayImage:
             flat[nm + 1] = ovh_amounts[~is_mem]
             flat[mm + 2] = hit_ovh
             ovh_add = np.where(is_mem, hit_ovh, ovh_amounts)
-        if len(self._span_tables) >= 4:
-            self._span_tables.pop(next(iter(self._span_tables)))
-        cached = (starts, flat, ovh_add)
-        self._span_tables[key] = cached
-        return cached
+        return _lru_put(self._span_tables, key, (starts, flat, ovh_add))
 
     def amounts(self, step_energy):
         """Per-step ``cycles * step_energy`` products (non-memory steps;
         memory steps recompute after their extra cycles are known).
         The products are formed as float64 multiplies of exactly the
         operands the simulator multiplies, so they are bit-identical."""
-        cached = self._fwd_amounts.get(step_energy)
+        cached = _lru_get(self._fwd_amounts, step_energy)
         if cached is None:
-            cached = np.multiply(
+            cached = _lru_put(self._fwd_amounts, step_energy, np.multiply(
                 self._cyc_array.astype(np.float64), step_energy
-            ).tolist()
-            self._fwd_amounts[step_energy] = cached
+            ).tolist())
         return cached
 
     def overhead_amounts(self, overhead_leak):
-        cached = self._ovh_amounts.get(overhead_leak)
+        cached = _lru_get(self._ovh_amounts, overhead_leak)
         if cached is None:
-            cached = np.multiply(
+            cached = _lru_put(self._ovh_amounts, overhead_leak, np.multiply(
                 self._cyc_array.astype(np.float64), overhead_leak
-            ).tolist()
-            self._ovh_amounts[overhead_leak] = cached
+            ).tolist())
         return cached

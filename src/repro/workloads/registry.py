@@ -32,6 +32,14 @@ _program_cache = {}
 _reference_cache = {}
 #: User-registered workloads: name -> (source_text, reference_fn).
 _custom_workloads = {}
+#: Bumped by every (un)registration, so holders of forked state (the
+#: scheduler's worker pool) can tell that the registry moved on.
+_generation = 0
+
+
+def registry_generation():
+    """How many times the user-registered workload set has changed."""
+    return _generation
 
 
 def register_workload(name, source, reference_fn):
@@ -60,17 +68,21 @@ def register_workload(name, source, reference_fn):
     >>> run_workload("triple", arch="nvmr").benchmark
     'triple'
     """
+    global _generation
     if name in BENCHMARKS or name in _custom_workloads:
         raise ValueError(f"workload {name!r} already registered")
     _custom_workloads[name] = (source, reference_fn)
+    _generation += 1
     return name
 
 
 def unregister_workload(name):
     """Remove a user-registered workload (built-ins cannot be removed)."""
+    global _generation
     if name not in _custom_workloads:
         raise ValueError(f"{name!r} is not a user-registered workload")
     del _custom_workloads[name]
+    _generation += 1
     _program_cache.pop(name, None)
     _reference_cache.pop(name, None)
 

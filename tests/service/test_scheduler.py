@@ -6,6 +6,7 @@ execute the simulation exactly once, provably (the ``dedup_hits``
 counter and the single ``_execute`` call are both asserted).
 """
 
+import os
 import threading
 
 import pytest
@@ -171,3 +172,116 @@ def test_borrower_reexecutes_when_owner_dies(monkeypatch):
 
 def test_get_scheduler_is_a_process_singleton():
     assert get_scheduler() is get_scheduler()
+
+
+# ------------------------------------------------------- worker pool
+@pytest.fixture
+def pooled():
+    """A fresh scheduler whose worker pool is shut down afterwards."""
+    scheduler = Scheduler()
+    yield scheduler
+    scheduler.close()
+
+
+def _jobs(bench, seeds, arches=("clank", "nvmr")):
+    return [(bench, PlatformConfig(arch=arch, policy="jit"), seed)
+            for arch in arches for seed in seeds]
+
+
+def test_back_to_back_runs_share_one_pool(pooled):
+    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
+    assert pooled.run(_jobs(BENCH, (1,)), workers=2) == 2
+    stats = pooled.stats()
+    assert stats["pools_started"] == 1
+    assert stats["executed"] == 4
+
+
+def test_serial_runs_start_no_pool(pooled):
+    assert pooled.run(_jobs(BENCH, (0,)), workers=1) == 2
+    assert pooled.stats()["pools_started"] == 0
+
+
+def test_repointed_store_gets_a_new_pool(pooled, monkeypatch, tmp_path):
+    """Workers inherit the environment at fork time, so repointing
+    ``REPRO_CACHE_DIR`` must re-create the pool: otherwise workers
+    would keep writing epoch scripts into the old store."""
+    from repro.sim.replay import clear_replay_caches
+
+    # Workers must not inherit an image whose scripts are already in
+    # memory, or they would never touch either store.
+    clear_replay_caches()
+    monkeypatch.setenv("REPRO_RUN_CACHE", "1")
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
+    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
+    assert list((first / "traces" / "scripts").glob("*.npz"))
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(second))
+    clear_run_cache()
+    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
+    assert pooled.stats()["pools_started"] == 2
+    assert list((second / "traces" / "keys").iterdir())
+    assert list((second / "traces" / "scripts").glob("*.npz"))
+
+
+def test_workload_registered_after_pool_start_runs_in_workers(pooled):
+    from repro.workloads import register_workload, unregister_workload
+
+    pooled.run(_jobs(BENCH, (0,)), workers=2)
+    name = register_workload(
+        "pool_triple",
+        "int out[1]; int main() { out[0] = 14 * 3; return 0; }",
+        lambda: {"g_out": [42]},
+    )
+    try:
+        assert pooled.run(_jobs(name, (0, 1)), workers=2) == 4
+        assert pooled.stats()["pools_started"] == 2
+        for job in _jobs(name, (0, 1)):
+            key = (name, _config_key(job[1]), job[2])
+            assert _run_cache[key].benchmark == name
+    finally:
+        unregister_workload(name)
+
+
+def test_dead_worker_breaks_one_run_and_the_next_gets_a_fresh_pool(
+        pooled, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    real_execute = sched._execute
+
+    def dying_execute(job):
+        if job[2] == 7:
+            os._exit(1)
+        return real_execute(job)
+
+    # Workers fork lazily at the first parallel run, so they inherit
+    # the patched entry point.
+    monkeypatch.setattr(sched, "_execute", dying_execute)
+    with pytest.raises(BrokenProcessPool):
+        pooled.run(_jobs(BENCH, (7,)), workers=2)
+    assert pooled.stats()["inflight"] == 0
+
+    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
+    assert pooled.stats()["pools_started"] == 2
+
+
+def test_reused_workers_match_serial_bit_for_bit(pooled):
+    """Two different experiments back to back through one pool (so
+    workers switch benchmarks and drop replay state between them)
+    equal a serial run of the same jobs."""
+    from repro.analysis import ExperimentSettings
+    from repro.analysis.parallel import experiment_jobs
+
+    smoke = ExperimentSettings(traces=1, benchmarks=["qsort", "hist"],
+                               sweep_benchmarks=["qsort"])
+    specs = [experiment_jobs("table3", smoke), experiment_jobs("fig10", smoke)]
+    for jobs in specs:
+        pooled.run(jobs, workers=2)
+    assert pooled.stats()["pools_started"] == 1
+    parallel = dict(_run_cache)
+
+    clear_run_cache()
+    serial = Scheduler()
+    for jobs in specs:
+        serial.run(jobs, workers=1)
+    assert dict(_run_cache) == parallel

@@ -32,6 +32,7 @@ from repro.sim.replay import (
     replay_supported,
     replay_workload,
 )
+from repro.sim.trace import DERIVED_CACHE_ENTRIES
 from repro.workloads import load_program, verify_platform
 
 #: Every registered architecture the replayer serves (ideal is
@@ -348,6 +349,30 @@ def test_span_tables_cache_is_lru():
         assert image.span_tables(5.0, 1.0, 3.0) is not None
         assert image.span_tables(1.0, 1.0, 3.0) is tables[1.0]
     image._span_tables.clear()
+
+
+def test_derived_caches_are_bounded_and_rebuild_bit_identically():
+    """``amounts()`` and ``mem_layout()`` keep at most
+    ``DERIVED_CACHE_ENTRIES`` keys each, so a long-lived process that
+    sees many cost tables or cache geometries holds a bounded set of
+    per-step lists; entries evicted and rebuilt replay identically."""
+    image = get_image("qsort")
+    for step_energy in range(1, 7):
+        image.amounts(float(step_energy))
+        image.overhead_amounts(float(step_energy))
+    for set_shift in range(4, 10):
+        image.mem_layout(15, set_shift, 7)
+        image.span_geometry(15, set_shift, 7)
+    for cache in (image._fwd_amounts, image._ovh_amounts,
+                  image._geom_layouts, image._span_geoms):
+        assert len(cache) <= DERIVED_CACHE_ENTRIES
+    # The newest keys survived; the oldest were evicted.
+    assert list(image._fwd_amounts) == [3.0, 4.0, 5.0, 6.0]
+    assert (15, 4, 7) not in image._geom_layouts
+    assert (15, 9, 7) in image._geom_layouts
+    # Whatever this run needs was evicted above and is rebuilt.
+    _compare("qsort", PlatformConfig(arch="clank", policy="jit"))
+    _compare("qsort", PlatformConfig(arch="nvmr", policy="watchdog"))
 
 
 def test_engine_routes_cache_misses_through_replay(monkeypatch):
