@@ -158,13 +158,14 @@ class IntermittentArchitecture(MemorySystem):
             "restore",
             Checkpoint.WORDS * self.energy.nvm_read_word + self.energy.restore_fixed,
         )
-        self.core.rf.restore(payload["checkpoint"])
-        self.core.halted = payload.get("halted", False)
+        self.core.resume(payload)
         self.stats.restores += 1
 
     def snapshot_payload(self):
-        """The checkpoint payload: registers + PC + flags (+ halted flag)."""
-        return {"checkpoint": self.core.rf.snapshot(), "halted": self.core.halted}
+        """The checkpoint payload, built by the attached core: registers
+        + PC + flags + halted flag, plus whatever its step source needs
+        to resume (a trace replayer's cursor)."""
+        return self.core.checkpoint()
 
     def debug_read_word(self, addr):
         """The *committed* (post-power-loss) value of a program address.

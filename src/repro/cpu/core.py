@@ -44,7 +44,9 @@ class Core:
 
     The core itself is purely volatile: on a power failure the platform
     discards it and rebuilds register state from the last checkpoint via
-    :meth:`repro.cpu.state.RegisterFile.restore`.
+    :meth:`resume`.  The core is also the fast run loop's step source
+    (:meth:`step`, :meth:`begin_run`), and builds the checkpoint
+    payloads backups persist (:meth:`checkpoint`).
     """
 
     __slots__ = (
@@ -78,6 +80,34 @@ class Core:
         self.rf.pc = self.program.entry
         self.rf.regs[13] = self.program.layout.stack_top  # sp
         self.halted = False
+
+    # ------------------------------------------------------ checkpoints
+    def checkpoint(self):
+        """The payload a backup persists: registers + PC + flags, plus
+        the halted flag (architectures commit it via
+        ``snapshot_payload``)."""
+        return {"checkpoint": self.rf.snapshot(), "halted": self.halted}
+
+    def resume(self, payload):
+        """Rewind to a committed :meth:`checkpoint` payload (what a
+        post-power-loss restore does)."""
+        self.rf.restore(payload["checkpoint"])
+        self.halted = payload.get("halted", False)
+
+    # ------------------------------------------------------- run hooks
+    def begin_run(self, platform):
+        """Called by the fast run loop before its first step.
+
+        Returns the source's quantum-window executor — a callable the
+        loop hands each active policy guard, which retires whole runs
+        of steps at once (see ``repro.sim.replay.TraceCursor.window``)
+        — or None when every step goes through :meth:`step`.
+        """
+        return None
+
+    def end_run(self):
+        """Called by the fast run loop on every exit (undo
+        :meth:`begin_run`)."""
 
     # ------------------------------------------------------------------
     def _branch_taken(self, op):

@@ -565,6 +565,27 @@ _INLINE_ALU = {
 }
 
 
+def inlines_cache_hits(memory):
+    """Whether word-sized loads/stores may run the cached-architecture
+    hit path inline instead of calling ``memory.load``/``store``.
+
+    Only when the memory system uses the stock CachedArchitecture
+    load/store (no subclass override), the host reads cache words
+    natively, and the set count is a power of two (the inlined path
+    uses the shift/mask geometry).  Everything else keeps the generic
+    call-out form.  A trace replayer inlines under the same predicate.
+    """
+    from repro.arch.base import CachedArchitecture
+
+    return bool(
+        _NATIVE_WORDS
+        and isinstance(memory, CachedArchitecture)
+        and type(memory).load is CachedArchitecture.load
+        and type(memory).store is CachedArchitecture.store
+        and memory._set_geom[2] is not None
+    )
+
+
 class FastCore(Core):
     """A :class:`Core` whose program is translated to bound closures.
 
@@ -588,21 +609,7 @@ class FastCore(Core):
         mem_load = memory.load
         mem_store = memory.store
         code_base = self._code_base
-        # Word-sized loads/stores get the cached-architecture hit path
-        # inlined into their closures — but only when the memory system
-        # uses the stock CachedArchitecture.load/store (no subclass
-        # override), the host reads cache words natively, and the set
-        # count is a power of two (the closures use the shift/mask
-        # geometry).  Everything else keeps the generic call-out form.
-        from repro.arch.base import CachedArchitecture
-
-        inline_mem = (
-            _NATIVE_WORDS
-            and isinstance(memory, CachedArchitecture)
-            and type(memory).load is CachedArchitecture.load
-            and type(memory).store is CachedArchitecture.store
-            and memory._set_geom[2] is not None
-        )
+        inline_mem = inlines_cache_hits(memory)
         ops = []
         for index, instr in enumerate(self._code):
             pc = code_base + 4 * index

@@ -26,7 +26,7 @@ from repro.energy.accounting import EnergyLedger, PowerFailure
 from repro.energy.capacitor import CAPACITOR_PRESETS, Supercapacitor
 from repro.energy.model import NVM_TECHNOLOGIES, EnergyModel
 from repro.energy.traces import HarvestTrace
-from repro.cpu.core import Core, ExecutionError
+from repro.cpu.core import Core
 from repro.cpu.fastcore import FastCore
 from repro.mem.nvm import NvmFlash
 from repro.policies import make_policy
@@ -210,8 +210,7 @@ class Platform:
             layout,
             **self.config.arch_kwargs(),
         )
-        core_cls = FastCore if self.config.fast else Core
-        self.core = core_cls(program, self.arch)
+        self.core = self._make_core(program)
         self.arch.attach_core(self.core)
         self.policy = self.config.make_policy()
 
@@ -229,6 +228,12 @@ class Platform:
         self._leak = self.arch.leakage_per_cycle()
         self._overhead_leak = getattr(self.arch, "overhead_leakage_per_cycle", None)
         self._overhead_leak = self._overhead_leak() if self._overhead_leak else 0.0
+
+    def _make_core(self, program):
+        """The step source: pre-decoded on the fast path, the seed
+        interpreter otherwise."""
+        core_cls = FastCore if self.config.fast else Core
+        return core_cls(program, self.arch)
 
     def _install_event_recorder(self):
         original_backup = self.arch.backup
@@ -306,6 +311,13 @@ class Platform:
     # ------------------------------------------------------------ run
     def run(self):
         """Execute the program to completion; returns a RunResult."""
+        return self._execute(
+            self._run_fast if self.config.fast else self._run_reference
+        )
+
+    def _execute(self, loop):
+        """Power the device up, run ``loop`` to completion and return
+        the RunResult."""
         arch = self.arch
         self.policy.reset(self)
         # Flashing the device includes its entry state: commit a free
@@ -317,20 +329,7 @@ class Platform:
             arch.backup(BackupReason.INITIAL)
         except PowerFailure:
             self._power_failure()
-        # The inline fast loop dispatches straight to the pre-decoded
-        # closure table, which bypasses Core.step and therefore cannot
-        # honour retire hooks (instruction tracing, the task policy) —
-        # those run on the reference loop.  Hooks are installed by
-        # policy.reset() / tracer attachment, both of which have
-        # happened by this point.
-        if (
-            self.config.fast
-            and self.core.on_retire is None
-            and isinstance(self.core, FastCore)
-        ):
-            self._run_fast()
-        else:
-            self._run_reference()
+        loop()
         return self._result()
 
     def _run_reference(self):
@@ -373,32 +372,42 @@ class Platform:
             except PowerFailure:
                 self._power_failure()
 
-    def _run_fast(self):
-        """Dispatch to the specialized fast loop.
+    def _consults_decide(self):
+        """Whether the fast loop asks ``policy.decide`` (which may grant
+        quantum guards) instead of ``policy.after_step``.
 
-        The per-cycle overhead leakage (NvMR's MTC) is constant per run,
-        so the loop is specialized once here instead of testing it every
-        step: architectures without it run :meth:`_run_fast_forward`,
-        which has the whole overhead-charge block removed; the rest run
-        :meth:`_run_fast_overhead`.  The two loops are line-for-line
-        identical apart from that block (keep them in sync; the
-        differential suite exercises both via clank and nvmr).
+        Only policies that override ``decide`` are asked, and only
+        while no retire hook is installed: a hooked core (instruction
+        tracing, the task policy's call detector) is consulted through
+        ``after_step`` on every step and never skips one, exactly like
+        the reference loop.
         """
-        if self._overhead_leak:
-            self._run_fast_overhead()
-        else:
-            self._run_fast_forward()
+        policy = self.policy
+        return (
+            self.core.on_retire is None
+            and getattr(type(policy), "decide", None) is not BackupPolicy.decide
+            and getattr(policy, "decide", None) is not None
+        )
 
-    def _run_fast_forward(self):
+    def _run_fast(self):
         """The fast loop: identical observable behavior to
         :meth:`_run_reference`, restructured for speed.
 
-        * instruction dispatch goes straight to the pre-decoded closure
-          table (:class:`~repro.cpu.fastcore.FastCore`) — :meth:`run`
-          only selects this loop when no retire hook needs the
-          ``Core.step`` path;
-        * the two hot ledger categories are charged through their direct
-          entry points (same capacitor draws, same committed totals);
+        The loop is the whole power state machine — charge, injector,
+        guard, decide, backup, shutdown, failure and restore — and takes
+        its instructions from ``core.step()``, so the core is the step
+        source: :class:`~repro.cpu.fastcore.FastCore` executes
+        pre-decoded instructions, and a trace replayer's cursor
+        (:class:`~repro.sim.replay.TraceCursor`) streams recorded ones.
+        Either way every step flows through the same charge and policy
+        code below.
+
+        * the per-step CPU + leakage charge, and the per-cycle overhead
+          leakage charge of architectures that have one (NvMR's MTC),
+          run on a local copy of the capacitor level when the ledger's
+          hot categories are pinned and affordable — the same compares
+          and subtractions as two sequential ``charge()`` calls;
+          anything else delegates to the ledger's direct entry points;
         * when the policy grants a quantum guard (see
           :meth:`~repro.policies.base.BackupPolicy.decide`) the
           per-step policy call is skipped.  Energy-floor guards (JIT)
@@ -413,32 +422,26 @@ class Platform:
           consult it exactly for the revoking step.  Revocation (or a
           power failure) returns to the exact per-instruction path, so
           decisions near any boundary match the reference loop bit for
-          bit.
-
-        This variant is for architectures with no per-cycle overhead
-        leakage; :meth:`_run_fast_overhead` carries the extra charge.
+          bit;
+        * while a guard is active, a step source with a quantum-window
+          executor (:meth:`~repro.cpu.core.Core.begin_run`) retires
+          whole runs of guarded steps at once; it stops before any step
+          it cannot commit, which the loop then executes one by one.
         """
         core = self.core
+        step = core.step
         policy = self.policy
         ledger = self.ledger
-        arch = self.arch
         capacitor = self.capacitor
-        backup = arch.backup
+        backup = self.arch.backup
         injector = self._injector
         charge_forward = ledger.charge_forward
+        charge_overhead = ledger.charge_forward_overhead
         after_step = policy.after_step
-        # Policies that don't override decide() (task, user policies)
-        # are called through plain after_step, exactly like the
-        # reference loop; anything else goes through decide().
-        use_decide = (
-            getattr(type(policy), "decide", None) is not BackupPolicy.decide
-            and getattr(policy, "decide", None) is not None
-        )
-        decide = policy.decide if use_decide else None
-        ops = core._ops
-        code_base = core._code_base
-        rf = core.rf
+        window = core.begin_run(self)
+        decide = policy.decide if self._consults_decide() else None
         step_energy = self._cpu_cycle_energy + self._leak
+        overhead_leak = self._overhead_leak
         steps = 0
         # Guard mode: 0 = consult the policy every step, 1 = energy
         # floor (per-step safety test), 2 = cycle budget (blind count).
@@ -455,6 +458,15 @@ class Platform:
         shutdown_action = PolicyAction.SHUTDOWN
         try:
             while True:
+                if gmode and window is not None:
+                    wsteps, wcycles, floor, skipped, revoke = window(
+                        gmode, floor, growth, skipped, budget,
+                        max_steps - steps,
+                    )
+                    steps += wsteps
+                    self.active_cycles += wcycles
+                    if revoke:
+                        gmode = 0
                 if core.halted:
                     try:
                         backup(BackupReason.FINAL)
@@ -466,30 +478,32 @@ class Platform:
                 if steps >= max_steps:
                     raise SimulationError(f"exceeded {max_steps} instructions")
                 try:
-                    try:
-                        fn = ops[(rf.pc - code_base) >> 2]
-                    except IndexError:
-                        raise ExecutionError(
-                            f"pc outside code: {rf.pc:#x}"
-                        ) from None
-                    cycles = fn()
+                    cycles = step()
                     steps += 1
                     self.active_cycles += cycles
-                    # Per-step CPU + leakage charge, inlined from
-                    # EnergyLedger.charge_forward: the common case (slot
-                    # pinned, charge affordable) runs on a local copy of
-                    # the capacitor level — the same compares and
-                    # subtractions, one attribute store; anything else
-                    # delegates to the ledger, which redoes the exact
-                    # same transition.
+                    # Forward charge then overhead charge, each inlined
+                    # from its ledger fast path; the overhead draw must
+                    # observe the capacitor level left by the forward
+                    # draw, exactly as two sequential charge() calls do.
                     energy = capacitor.energy
                     amount = cycles * step_energy
                     if ledger._fwd_touched and energy >= amount:
                         ledger._fwd_pending += amount
                         energy -= amount
+                        if overhead_leak:
+                            amount = cycles * overhead_leak
+                            if ledger._ovh_touched and energy >= amount:
+                                ledger._ovh_pending += amount
+                                energy -= amount
+                            else:
+                                capacitor.energy = energy
+                                charge_overhead(amount)
+                                energy = capacitor.energy
                         capacitor.energy = energy
                     else:
                         charge_forward(amount)
+                        if overhead_leak:
+                            charge_overhead(cycles * overhead_leak)
                         energy = capacitor.energy
                     if injector is not None:
                         injector.on_step()
@@ -540,126 +554,7 @@ class Platform:
                     self._power_failure()
                     gmode = 0
         finally:
-            core.instructions_retired += steps
-
-    def _run_fast_overhead(self):
-        """:meth:`_run_fast_forward` plus the per-cycle overhead-leakage
-        charge (NvMR's MTC standby power).  See that method's docstring;
-        everything else is line-for-line identical."""
-        core = self.core
-        policy = self.policy
-        ledger = self.ledger
-        arch = self.arch
-        capacitor = self.capacitor
-        backup = arch.backup
-        injector = self._injector
-        charge_forward = ledger.charge_forward
-        charge_overhead = ledger.charge_forward_overhead
-        after_step = policy.after_step
-        use_decide = (
-            getattr(type(policy), "decide", None) is not BackupPolicy.decide
-            and getattr(policy, "decide", None) is not None
-        )
-        decide = policy.decide if use_decide else None
-        ops = core._ops
-        code_base = core._code_base
-        rf = core.rf
-        step_energy = self._cpu_cycle_energy + self._leak
-        overhead_leak = self._overhead_leak
-        steps = 0
-        gmode = 0
-        floor = 0.0
-        growth = 0.0
-        budget = 0
-        skipped = 0
-        resync = None
-        inf = float("inf")
-        max_steps = self.config.max_steps
-        none_action = PolicyAction.NONE
-        backup_action = PolicyAction.BACKUP
-        shutdown_action = PolicyAction.SHUTDOWN
-        try:
-            while True:
-                if core.halted:
-                    try:
-                        backup(BackupReason.FINAL)
-                        break
-                    except PowerFailure:
-                        self._power_failure()
-                        gmode = 0
-                        continue
-                if steps >= max_steps:
-                    raise SimulationError(f"exceeded {max_steps} instructions")
-                try:
-                    try:
-                        fn = ops[(rf.pc - code_base) >> 2]
-                    except IndexError:
-                        raise ExecutionError(
-                            f"pc outside code: {rf.pc:#x}"
-                        ) from None
-                    cycles = fn()
-                    steps += 1
-                    self.active_cycles += cycles
-                    # Forward charge then overhead charge, each inlined
-                    # from its ledger fast path; the overhead draw must
-                    # observe the capacitor level left by the forward
-                    # draw, exactly as two sequential charge() calls do.
-                    energy = capacitor.energy
-                    amount = cycles * step_energy
-                    if ledger._fwd_touched and energy >= amount:
-                        ledger._fwd_pending += amount
-                        energy -= amount
-                        amount = cycles * overhead_leak
-                        if ledger._ovh_touched and energy >= amount:
-                            ledger._ovh_pending += amount
-                            energy -= amount
-                            capacitor.energy = energy
-                        else:
-                            capacitor.energy = energy
-                            charge_overhead(amount)
-                            energy = capacitor.energy
-                    else:
-                        charge_forward(amount)
-                        charge_overhead(cycles * overhead_leak)
-                        energy = capacitor.energy
-                    if injector is not None:
-                        injector.on_step()
-                    if gmode:
-                        if gmode == 1:
-                            floor += growth
-                            if energy > floor:
-                                continue
-                        else:
-                            skipped += cycles
-                            if skipped < budget:
-                                continue
-                            resync(skipped - cycles)
-                        gmode = 0
-                    if decide is not None:
-                        action, guard = decide(self, cycles)
-                    else:
-                        action = after_step(self, cycles)
-                        guard = None
-                    if action is none_action:
-                        if guard is not None:
-                            floor, growth, budget, resync = guard
-                            if budget == inf:
-                                gmode = 1
-                            elif resync is not None:
-                                skipped = 0
-                                gmode = 2
-                    elif action is backup_action:
-                        backup(BackupReason.POLICY)
-                        policy.on_backup(self)
-                    elif action is shutdown_action:
-                        backup(BackupReason.POLICY)
-                        policy.on_backup(self)
-                        self._shutdown()
-                except PowerFailure:
-                    self._power_failure()
-                    gmode = 0
-        finally:
-            core.instructions_retired += steps
+            core.end_run()
 
     # ---------------------------------------------------------- result
     def _result(self):

@@ -1,23 +1,25 @@
 """Analytical replay engine: run N configurations from one trace.
 
 A :class:`ReplayPlatform` is a :class:`~repro.sim.platform.Platform`
-whose run loop is driven by a recorded execution trace
-(:mod:`repro.sim.trace`) instead of the instruction interpreter.  Every
-architectural side effect of a step — cache state transitions, bloom
-dominance tracking, NVM traffic, energy draws, policy decisions, backup
-and restore events — is produced by streaming the recorded events
-through the *same* architecture, policy, ledger and capacitor objects
-the simulator uses, in the same order, with the same floating-point
-operations.  Results are bit-identical to the fast engine (the
-differential suite asserts this for every registered architecture and
-policy); only register-file *contents* are not simulated, because no
-registered model observes them.
+whose step source is a recorded execution trace
+(:mod:`repro.sim.trace`) instead of the instruction interpreter: its
+core is a :class:`TraceCursor`, and it runs the simulator's own fast
+loop (``Platform._run_fast``).  Charging, guards, policy decisions,
+backups, failures and restores are therefore the simulator's code, and
+every architectural side effect of a step — cache state transitions,
+bloom dominance tracking, NVM traffic, energy draws — comes from
+streaming the recorded events through the *same* architecture, policy,
+ledger and capacitor objects, in the same order, with the same
+floating-point operations.  Results are bit-identical to the fast
+engine (the differential suite asserts this for every registered
+architecture and policy); only register-file *contents* are not
+simulated, because no registered model observes them.
 
-Power failures rewind replay the way they rewind the simulator: each
-checkpoint payload carries the trace cursor of the step it was taken
-at (``replay_k``), and a restore resumes the event stream from that
-cursor — re-streaming the same events the re-executed instructions
-would re-issue.
+Power failures rewind replay the way they rewind the simulator: the
+core builds every checkpoint payload, so each carries the trace cursor
+of the step it was taken at (``replay_k``), and a restore resumes the
+event stream from that cursor — re-streaming the same events the
+re-executed instructions would re-issue.
 
 Replay is used when:
 
@@ -44,16 +46,14 @@ sweeps through replay.
 
 import gc
 import os
-from dataclasses import replace
 
 import numpy as np
 
-from repro.arch.base import BackupReason, CachedArchitecture
-from repro.energy.accounting import PowerFailure
+from repro.cpu.core import Core
+from repro.cpu.fastcore import inlines_cache_hits
+from repro.cpu.state import Checkpoint
 from repro.energy.traces import HarvestTrace
 from repro.mem.bloom import WordState
-from repro.mem.cache import _NATIVE_WORDS
-from repro.policies.base import BackupPolicy, PolicyAction
 from repro.sim import tracestore
 from repro.sim.platform import Platform, PlatformConfig, SimulationError
 from repro.sim.trace import ReplayImage, record_trace
@@ -667,96 +667,353 @@ class ReplayStats:
         }
 
 
-class ReplayPlatform(Platform):
-    """A platform whose run loop streams a recorded trace.
+class TraceCursor(Core):
+    """A step source that streams a recorded trace instead of executing.
 
-    The loops below mirror the simulator's loops statement for
-    statement (``_replay_stream`` ↔ ``_run_fast_forward`` /
-    ``_run_fast_overhead``, ``_replay_hooked`` ↔ ``_run_reference``);
-    instruction dispatch is replaced by indexing the trace, and memory
-    operations replay the recorded address/value through the real
-    architecture.  Keep them in sync with :mod:`repro.sim.platform` —
-    the differential suite compares both.
+    The fast run loop (:meth:`Platform._run_fast
+    <repro.sim.platform.Platform._run_fast>`) drives it exactly as it
+    drives :class:`~repro.cpu.fastcore.FastCore`: :meth:`step` retires
+    the instruction at the cursor — replaying its recorded memory
+    operation through the real architecture, with the same inline
+    cache-hit path ``FastCore`` uses — and returns its cycles.
+
+    The cursor plays the program counter's role.  During a step it
+    names the step in flight, afterwards the next one, so the
+    checkpoint a backup takes (:meth:`checkpoint`) records the trace
+    position execution resumes from (``replay_k``) and :meth:`resume`
+    rewinds the cursor there — re-streaming the same events the
+    re-executed instructions would re-issue.
+
+    It also owns what only a trace can offer: the task policy's
+    call-boundary mask (:meth:`begin_run`) and the quantum window
+    (:meth:`window`).
     """
 
-    __slots__ = ("_image", "_mark", "_k", "_compiled", "stats")
+    __slots__ = (
+        "k", "_image", "_win_limit", "_stream", "_words", "_stats",
+        "_span", "_note_boundary", "_masked_hook", "_ovh", "_amounts",
+        "_ovh_amounts",
+    )
+
+    def __init__(self, program, memory, image):
+        super().__init__(program, memory)
+        #: Trace position of the step in flight / the next step.
+        self.k = 0
+        self._image = image
+        n = image.steps
+        # Quantum windows never consume the final (HALT) step: step()
+        # must set ``halted``.
+        self._win_limit = n - 1 if image.halted else n
+        if inlines_cache_hits(memory):
+            ledger = memory.ledger
+            sets, shift, smask = memory._set_geom
+            memops = image.mem_layout(memory._block_mask, shift, smask)
+            #: What the inline word-access path touches, or None when
+            #: every access calls the architecture.
+            self._words = (
+                memory.stats, ledger, ledger.capacitor,
+                memory._access_energy, memory.cache, sets,
+            )
+        else:
+            memops = image.memops
+            self._words = None
+        self._span = None
+        #: What every step reads: (memory ops, cycles, halt position,
+        #: boundary mask, span) — one attribute load per step.
+        self._stream = (
+            memops, image.cycles, n if image.halted else -1, None, None,
+        )
+        self._masked_hook = None
+
+    # ------------------------------------------------------ checkpoints
+    def checkpoint(self):
+        k = self.k
+        span = self._span
+        if span is not None:
+            # Backups clean dirty lines in place and never evict.
+            span.note_backup()
+        rf = self.rf
+        return {
+            "checkpoint": Checkpoint(
+                tuple(rf.regs), self._image.pcs[k], rf.flags.copy()
+            ),
+            "halted": self.halted,
+            "replay_k": k,
+        }
+
+    def resume(self, payload):
+        super().resume(payload)
+        self.k = payload["replay_k"]
+        if self._span is not None:
+            # The cache was wiped: rebuild the block->line map lazily.
+            self._span.stale = True
+
+    # ------------------------------------------------------- run hooks
+    def begin_run(self, platform):
+        """Install the task mask and build the quantum window.
+
+        A policy whose retire hook only inspects opcodes
+        (``boundary_opcodes``) has them at fixed trace positions: a
+        precomputed per-step mask replaces the hook for the run, and
+        :meth:`step` calls the policy's ``note_boundary`` at exactly
+        the retire points the hook would have seen — so the run keeps
+        the policy's guards a hooked run gives up.
+        """
+        policy = platform.policy
+        image = self._image
+        boundary = None
+        hook = self.on_retire
+        opcodes = getattr(policy, "boundary_opcodes", None)
+        if opcodes and getattr(hook, "__self__", None) is policy:
+            boundary = image.boundary_steps(self.program, opcodes)
+            self._note_boundary = policy.note_boundary
+            self._masked_hook = hook
+            self.on_retire = None
+        self._stats = platform.stats
+        span = None
+        window = None
+        # Windows only ever run under a policy guard; fault injectors
+        # observe every step, so they get none.
+        if platform._injector is None and platform._consults_decide():
+            window = self.window
+            step_energy = platform._cpu_cycle_energy + platform._leak
+            overhead_leak = platform._overhead_leak
+            ovh = self._ovh = bool(overhead_leak)
+            if self._words is not None:
+                span = platform._make_span(
+                    policy.guard_event_revoke,
+                    getattr(self.memory, "estimate_reorder_sensitive", True),
+                    step_energy, self._words[3], 3 * step_energy,
+                    overhead_leak if ovh else None,
+                    3 * overhead_leak if ovh else None,
+                )
+            else:
+                self._amounts = image.amounts(step_energy)
+                self._ovh_amounts = (
+                    image.overhead_amounts(overhead_leak) if ovh else None
+                )
+        self._span = span
+        memops, cycles, halt_at = self._stream[:3]
+        self._stream = (memops, cycles, halt_at, boundary, span)
+        return window
+
+    def end_run(self):
+        if self._masked_hook is not None:
+            self.on_retire = self._masked_hook
+            self._masked_hook = None
+            self._stream = self._stream[:3] + (None, self._span)
+
+    # -------------------------------------------------------- execution
+    def step(self):
+        """Replay the step at the cursor; returns its cycles."""
+        k = self.k
+        memops, cycles_at, halt_at, boundary, span = self._stream
+        try:
+            op = memops[k]
+        except IndexError:
+            raise SimulationError(
+                "execution trace exhausted before the instruction bound"
+            ) from None
+        if op is None:
+            cycles = cycles_at[k]
+        else:
+            msid = -1 if span is None else span.note_memop(k)
+            if msid >= 0:
+                backups = self.memory.stats.backups
+            kind = op[0]
+            words = self._words
+            if kind < 2 and words is not None:
+                # Word access: FastCore's inlined hit path, on the
+                # recorded address with its precomputed geometry
+                # (kind, addr, block, set, word, value).
+                astats, ledger, capacitor, amount, cache, sets = words
+                if kind:
+                    astats.stores += 1
+                else:
+                    astats.loads += 1
+                energy = capacitor.energy
+                if ledger._fwd_touched and energy >= amount:
+                    capacitor.energy = energy - amount
+                    ledger._fwd_pending += amount
+                else:
+                    ledger.charge_forward(amount)
+                block_addr = op[2]
+                lines = sets[op[3]]
+                i = 0
+                for line in lines:
+                    if line.valid and line.block_addr == block_addr:
+                        if i:
+                            lines.insert(0, lines.pop(i))
+                        cache.hits += 1
+                        word = op[4]
+                        states = line.meta.states
+                        if kind:
+                            if states[word] == _UNKNOWN:
+                                states[word] = _WRITE
+                            line.words[word] = op[5]
+                            line.dirty = True
+                        elif states[word] == _UNKNOWN:
+                            states[word] = _READ
+                        extra = 1
+                        break
+                    i += 1
+                else:
+                    cache.misses += 1
+                    if kind:
+                        extra = self.memory._store_miss(
+                            block_addr, op[1], op[5], 4
+                        )
+                    else:
+                        extra = self.memory._load_miss(block_addr, op[1], 4)[1]
+            elif kind == 0:
+                extra = self.memory.load(op[1], 4)[1]
+            elif kind == 1:
+                extra = self.memory.store(op[1], op[-1], 4)
+            elif kind == 2:
+                extra = self.memory.load(op[1], 1)[1]
+            else:
+                extra = self.memory.store(op[1], op[-1], 1)
+            cycles = cycles_at[k] + extra
+            if msid >= 0:
+                span.rescan_set(msid, self.memory.stats.backups != backups)
+        self.k = k + 1
+        if k + 1 == halt_at:
+            self.halted = True
+        self.instructions_retired += 1
+        if self.on_retire is not None:
+            image = self._image
+            self.on_retire(
+                image.pcs[k], self._code[image.indices[k]], cycles
+            )
+        elif boundary is not None and boundary[k]:
+            self._note_boundary()
+        return cycles
+
+    def window(self, gmode, floor, growth, skipped, budget, cap):
+        """Retire guarded steps from the cursor in one batch.
+
+        Called by the run loop while a policy guard is active (``gmode``
+        1: energy floor growing by ``growth`` per step, 2: cycle
+        budget), for at most ``cap`` steps.  Inside a window the only
+        per-step effects are the charge stream and the guard test, so
+        plain steps run through a tight loop — the span executor
+        (:class:`_SpanState` or the compiled one) when the
+        architecture has the inline hit path, else a memop-free loop.
+        A step that would miss the cache, take a slow charge path,
+        revoke the guard or halt is *peeked* and never committed — the
+        loop executes it through :meth:`step` bit-identically.  Hit
+        counters are accumulated locally and synced at exit.
+
+        Returns ``(steps, cycles, floor, skipped, revoke)``; ``revoke``
+        drops the guard so the next step consults the policy.
+        """
+        memory = self.memory
+        ledger = memory.ledger
+        ovh = self._ovh
+        if not ledger._fwd_touched or (ovh and not ledger._ovh_touched):
+            return 0, 0, floor, skipped, False
+        capacitor = ledger.capacitor
+        k = kw = self.k
+        stop = self._win_limit
+        if stop - k > cap:
+            stop = k + cap
+        span = self._span
+        if span is not None:
+            (k, energy, fwd_pending, ovh_pending, floor, skipped,
+             wextra, wloads, wstores, revoke) = span.window(
+                k, stop, gmode, capacitor.energy, ledger._fwd_pending,
+                ledger._ovh_pending if ovh else 0.0,
+                floor, growth, skipped, budget,
+            )
+        else:
+            # No inline hit path: windows stop at every memory op and
+            # never hold an event-revoked (static) floor.
+            wextra = 0
+            revoke = False
+            memops, cyc = self._stream[:2]
+            amounts = self._amounts
+            ovh_amounts = self._ovh_amounts
+            energy = capacitor.energy
+            fwd_pending = ledger._fwd_pending
+            ovh_pending = ledger._ovh_pending if ovh else 0.0
+            while k < stop:
+                if memops[k] is not None:
+                    break
+                amount = amounts[k]
+                if energy < amount:
+                    break
+                e1 = energy - amount
+                if ovh:
+                    ovh_amount = ovh_amounts[k]
+                    if e1 < ovh_amount:
+                        break
+                    e1 = e1 - ovh_amount
+                if gmode == 2:
+                    s2 = skipped + cyc[k]
+                    if s2 >= budget:
+                        break
+                    skipped = s2
+                else:
+                    f2 = floor + growth
+                    if e1 <= f2:
+                        break
+                    floor = f2
+                energy = e1
+                fwd_pending += amount
+                if ovh:
+                    ovh_pending += ovh_amount
+                k += 1
+        stats = self._stats
+        stats.windows += 1
+        stats.window_steps += k - kw
+        if k == kw:
+            return 0, 0, floor, skipped, revoke
+        capacitor.energy = energy
+        ledger._fwd_pending = fwd_pending
+        if ovh:
+            ledger._ovh_pending = ovh_pending
+        self.k = k
+        self.instructions_retired += k - kw
+        if wextra:
+            memory.cache.hits += wextra
+            memory.stats.loads += wloads
+            memory.stats.stores += wstores
+        ccyc = self._image.cum_cycles
+        return k - kw, int(ccyc[k] - ccyc[kw]) + wextra, floor, skipped, revoke
+
+
+class ReplayPlatform(Platform):
+    """A platform whose step source is a recorded trace.
+
+    It runs the simulator's own fast loop (:meth:`Platform._run_fast
+    <repro.sim.platform.Platform._run_fast>`) with a
+    :class:`TraceCursor` as its core, so everything but instruction
+    dispatch — charging, guards, policy decisions, backups, failures
+    and restores — is the simulator's code, not a copy of it.
+    """
+
+    __slots__ = ("_image", "_compiled", "stats")
 
     def __init__(self, program, image, config=None, trace=None,
                  benchmark_name="", compiled=None):
-        config = config or PlatformConfig()
-        # A plain Core: replay never dispatches instructions, so paying
-        # FastCore's closure translation per replay would be waste.
-        super().__init__(
-            program,
-            replace(config, fast=False),
-            trace=trace,
-            benchmark_name=benchmark_name,
-        )
         self._image = image
         #: Compiled-epoch windows: True/False force, None = the
         #: ``REPRO_REPLAY_COMPILED`` knob (resolved per run).
         self._compiled = compiled
         #: Per-run :class:`ReplayStats` (reset at each ``run``).
         self.stats = ReplayStats()
-        #: Trace cursor a backup taken *now* would checkpoint.
-        self._mark = 0
-        #: Trace cursor execution resumes from (set by restores).
-        self._k = 0
-        arch = self.arch
-        pcs = image.pcs
-        original_payload = arch.snapshot_payload
+        super().__init__(
+            program, config, trace=trace, benchmark_name=benchmark_name
+        )
 
-        def replay_payload():
-            payload = dict(original_payload())
-            checkpoint = payload["checkpoint"]
-            payload["checkpoint"] = replace(checkpoint, pc=pcs[self._mark])
-            payload["replay_k"] = self._mark
-            return payload
-
-        arch.snapshot_payload = replay_payload
-        original_restore = arch.restore
-
-        def replay_restore():
-            original_restore()
-            payload = self.nvm.committed_checkpoint()
-            self._k = payload.get("replay_k", 0)
-
-        arch.restore = replay_restore
+    def _make_core(self, program):
+        return TraceCursor(program, self.arch, self._image)
 
     # ------------------------------------------------------------ run
     def run(self):
         """Replay the trace to completion; returns a RunResult."""
-        arch = self.arch
-        self.policy.reset(self)
         self.stats = ReplayStats()
-        self._mark = 0
-        self._k = 0
-        self.nvm.commit_checkpoint(arch.snapshot_payload())
-        self._start_period()
-        try:
-            arch.backup(BackupReason.INITIAL)
-        except PowerFailure:
-            self._power_failure()
-        hook = self.core.on_retire
-        if hook is not None:
-            opcodes = getattr(self.policy, "boundary_opcodes", None)
-            if opcodes and getattr(hook, "__self__", None) is self.policy:
-                # The policy's retire hook only inspects instruction
-                # opcodes, and those sit at fixed trace positions: a
-                # precomputed per-step mask replaces the hook and the
-                # run keeps the turbo stream loop (inline hit path)
-                # instead of dropping to the hooked reference mirror.
-                boundary = self._image.boundary_steps(self.program, opcodes)
-                self.core.on_retire = None
-                try:
-                    self._replay_stream(boundary=boundary)
-                finally:
-                    self.core.on_retire = hook
-            else:
-                self._replay_hooked()
-        else:
-            self._replay_stream()
-        return self._result()
+        return self._execute(self._run_fast)
 
     def _make_span(self, jstatic, dirty_reorder, step_energy,
                    access_amount, hit_amount,
@@ -767,7 +1024,15 @@ class ReplayPlatform(Platform):
         ``compiled=`` override or the ``REPRO_REPLAY_COMPILED`` knob —
         with automatic fallback to the scalar :class:`_SpanState` when
         construction fails; scalar otherwise.  Both are bit-identical;
-        only the batching differs.
+        only the batching differs.  ``jstatic`` selects the
+        event-revoked guard (see ``BackupPolicy.guard_event_revoke``):
+        the policy's threshold only moves on dirty-set events, so the
+        window holds the floor static and revokes — forcing a fresh
+        decide — on the events themselves instead of on every
+        conservative floor-growth crossing.  Reorder-sensitive
+        estimates (``dirty_reorder``, see
+        ``estimate_reorder_sensitive``) additionally revoke when an LRU
+        promotion reorders dirty lines.
         """
         from repro.sim import epochs
 
@@ -800,485 +1065,3 @@ class ReplayPlatform(Platform):
             step_energy, access_amount, hit_amount,
             overhead_leak, hit_ovh,
         )
-
-    def _turbo(self):
-        """The exact predicate the fast engine uses to inline the cache
-        hit path (see ``FastCore`` ``inline_mem``)."""
-        arch = self.arch
-        return (
-            _NATIVE_WORDS
-            and isinstance(arch, CachedArchitecture)
-            and type(arch).load is CachedArchitecture.load
-            and type(arch).store is CachedArchitecture.store
-            and arch._set_geom[2] is not None
-        )
-
-    def _replay_stream(self, boundary=None):
-        """Mirror of ``Platform._run_fast_forward`` /
-        ``_run_fast_overhead`` driven by the trace — one loop serving
-        both ledger shapes (``ovh`` selects the nested per-cycle
-        overhead charge the nvmr MTC adds to every step; the merged
-        float chains are each original's, bit for bit).
-
-        ``boundary``, when given, is a per-step boolean mask standing
-        in for the policy's retire hook (see ``run``): the policy's
-        ``note_boundary`` fires at exactly the retire points the hook
-        would have seen, and the run keeps this loop's turbo inline
-        hit path.
-        """
-        image = self._image
-        cyc = image.cycles
-        core = self.core
-        policy = self.policy
-        ledger = self.ledger
-        arch = self.arch
-        capacitor = self.capacitor
-        backup = arch.backup
-        injector = self._injector
-        charge_forward = ledger.charge_forward
-        overhead_leak = self._overhead_leak
-        ovh = bool(overhead_leak)
-        charge_overhead = ledger.charge_forward_overhead if ovh else None
-        after_step = policy.after_step
-        use_decide = (
-            getattr(type(policy), "decide", None) is not BackupPolicy.decide
-            and getattr(policy, "decide", None) is not None
-        )
-        decide = policy.decide if use_decide else None
-        step_energy = self._cpu_cycle_energy + self._leak
-        amounts = image.amounts(step_energy)
-        ovh_amounts = image.overhead_amounts(overhead_leak) if ovh else None
-        n = image.steps
-        halt_at = n if image.halted else -1
-        ccyc = image.cum_cycles
-        # Quantum windows never consume the final (HALT) step: the
-        # general body must set ``core.halted``.
-        win_limit = n - 1 if image.halted else n
-        turbo = self._turbo()
-        if turbo:
-            stats = arch.stats
-            cache = arch.cache
-            sets, shift, smask = arch._set_geom
-            bmask = arch._block_mask
-            access_amount = arch._access_energy
-            load_miss = arch._load_miss
-            store_miss = arch._store_miss
-            hit_amount = 3 * step_energy
-            hit_ovh = 3 * overhead_leak if ovh else 0.0
-            memops = image.mem_layout(bmask, shift, smask)
-        else:
-            memops = image.memops
-        # Event-revoked guard (see BackupPolicy.guard_event_revoke):
-        # the policy's threshold only moves on dirty-set events, so the
-        # window holds the floor static and revokes — forcing a fresh
-        # decide — on the events themselves instead of on every
-        # conservative floor-growth crossing.  Reorder-sensitive
-        # estimates (see estimate_reorder_sensitive) additionally
-        # revoke when an LRU promotion reorders dirty lines.
-        jstatic = turbo and use_decide and policy.guard_event_revoke
-        dirty_reorder = getattr(arch, "estimate_reorder_sensitive", True)
-        arch_load = arch.load
-        arch_store = arch.store
-        note_boundary = (
-            policy.note_boundary if boundary is not None else None
-        )
-        rstats = self.stats
-        span = None
-        if turbo and injector is None and use_decide:
-            # Policies without a decide() never grant guards, so no
-            # window ever runs — skip building (or loading) the span.
-            span = self._make_span(
-                jstatic, dirty_reorder,
-                step_energy, access_amount, hit_amount,
-                overhead_leak if ovh else None,
-                hit_ovh if ovh else None,
-            )
-        steps = 0
-        gmode = 0
-        floor = 0.0
-        growth = 0.0
-        budget = 0
-        skipped = 0
-        resync = None
-        inf = float("inf")
-        max_steps = self.config.max_steps
-        none_action = PolicyAction.NONE
-        backup_action = PolicyAction.BACKUP
-        shutdown_action = PolicyAction.SHUTDOWN
-        k = self._k
-        try:
-            while True:
-                if (
-                    gmode and injector is None and ledger._fwd_touched
-                    and (not ovh or ledger._ovh_touched)
-                ):
-                    # -------------------------------- quantum window
-                    # While a policy guard is active the only per-step
-                    # effects are the charge stream and the guard test,
-                    # so batches of plain steps run through this tight
-                    # loop.  A step that would miss the cache, take a
-                    # slow charge path, revoke the guard or halt is
-                    # *peeked* and never committed — the general body
-                    # below re-executes it bit-identically.  Hit
-                    # counters are accumulated locally and synced at
-                    # window exit (``wextra`` is both the +1-cycle and
-                    # the cache.hits count; nothing reads them
-                    # mid-window).  Memory tuples carry precomputed
-                    # geometry: (kind, addr, block, set, word, value).
-                    kw = k
-                    stop = win_limit
-                    rem = max_steps - steps
-                    if stop - k > rem:
-                        stop = k + rem
-                    if span is not None:
-                        (k, energy, fwd_pending, ovh_pending, floor,
-                         skipped, wextra, wloads, wstores,
-                         revoke) = span.window(
-                            k, stop, gmode, capacitor.energy,
-                            ledger._fwd_pending,
-                            ledger._ovh_pending if ovh else 0.0,
-                            floor, growth, skipped, budget,
-                        )
-                    else:
-                        wextra = wloads = wstores = 0
-                        revoke = False
-                        energy = capacitor.energy
-                        fwd_pending = ledger._fwd_pending
-                        ovh_pending = ledger._ovh_pending if ovh else 0.0
-                        while k < stop:
-                            op = memops[k]
-                            if op is not None:
-                                break
-                            amount = amounts[k]
-                            if energy < amount:
-                                break
-                            e1 = energy - amount
-                            if ovh:
-                                ovh_amount = ovh_amounts[k]
-                                if e1 < ovh_amount:
-                                    break
-                                e1 = e1 - ovh_amount
-                            if gmode == 2:
-                                s2 = skipped + cyc[k]
-                                if s2 >= budget:
-                                    break
-                                skipped = s2
-                            elif jstatic:
-                                if e1 <= floor:
-                                    revoke = True
-                                    break
-                            else:
-                                f2 = floor + growth
-                                if e1 <= f2:
-                                    break
-                                floor = f2
-                            energy = e1
-                            fwd_pending += amount
-                            if ovh:
-                                ovh_pending += ovh_amount
-                            k += 1
-                    rstats.windows += 1
-                    rstats.window_steps += k - kw
-                    if k != kw:
-                        capacitor.energy = energy
-                        ledger._fwd_pending = fwd_pending
-                        if ovh:
-                            ledger._ovh_pending = ovh_pending
-                        steps += k - kw
-                        self.active_cycles += int(ccyc[k] - ccyc[kw]) + wextra
-                        if wextra:
-                            cache.hits += wextra
-                            stats.loads += wloads
-                            stats.stores += wstores
-                    if revoke:
-                        gmode = 0
-                if core.halted:
-                    self._mark = k
-                    try:
-                        backup(BackupReason.FINAL)
-                        break
-                    except PowerFailure:
-                        self._power_failure()
-                        if span is not None:
-                            span.stale = True
-                        gmode = 0
-                        k = self._k
-                        continue
-                if steps >= max_steps:
-                    raise SimulationError(f"exceeded {max_steps} instructions")
-                if k >= n:
-                    raise SimulationError(
-                        "execution trace exhausted before the instruction bound"
-                    )
-                try:
-                    op = memops[k]
-                    if op is None:
-                        cycles = cyc[k]
-                        amount = amounts[k]
-                        if ovh:
-                            ovh_amount = ovh_amounts[k]
-                    else:
-                        self._mark = k
-                        if span is not None:
-                            msid = span.note_memop(k)
-                            if msid >= 0:
-                                b0 = stats.backups
-                        else:
-                            msid = -1
-                        kind = op[0]
-                        addr = op[1]
-                        if kind == 0:  # load word
-                            if turbo:
-                                stats.loads += 1
-                                block_addr = op[2]
-                                energy = capacitor.energy
-                                if ledger._fwd_touched and energy >= access_amount:
-                                    capacitor.energy = energy - access_amount
-                                    ledger._fwd_pending += access_amount
-                                else:
-                                    charge_forward(access_amount)
-                                lines = sets[op[3]]
-                                i = 0
-                                for line in lines:
-                                    if line.valid and line.block_addr == block_addr:
-                                        if i:
-                                            lines.insert(0, lines.pop(i))
-                                        cache.hits += 1
-                                        word = op[4]
-                                        states = line.meta.states
-                                        if states[word] == _UNKNOWN:
-                                            states[word] = _READ
-                                        cycles = cyc[k] + 1
-                                        amount = hit_amount
-                                        if ovh:
-                                            ovh_amount = hit_ovh
-                                        break
-                                    i += 1
-                                else:
-                                    cache.misses += 1
-                                    _value, extra = load_miss(block_addr, addr, 4)
-                                    cycles = cyc[k] + extra
-                                    amount = cycles * step_energy
-                                    if ovh:
-                                        ovh_amount = cycles * overhead_leak
-                            else:
-                                _value, extra = arch_load(addr, 4)
-                                cycles = cyc[k] + extra
-                                amount = cycles * step_energy
-                                if ovh:
-                                    ovh_amount = cycles * overhead_leak
-                        elif kind == 1:  # store word
-                            value = op[-1]
-                            if turbo:
-                                stats.stores += 1
-                                block_addr = op[2]
-                                energy = capacitor.energy
-                                if ledger._fwd_touched and energy >= access_amount:
-                                    capacitor.energy = energy - access_amount
-                                    ledger._fwd_pending += access_amount
-                                else:
-                                    charge_forward(access_amount)
-                                lines = sets[op[3]]
-                                i = 0
-                                for line in lines:
-                                    if line.valid and line.block_addr == block_addr:
-                                        if i:
-                                            lines.insert(0, lines.pop(i))
-                                        cache.hits += 1
-                                        word = op[4]
-                                        states = line.meta.states
-                                        if states[word] == _UNKNOWN:
-                                            states[word] = _WRITE
-                                        line.words[word] = value
-                                        line.dirty = True
-                                        cycles = cyc[k] + 1
-                                        amount = hit_amount
-                                        if ovh:
-                                            ovh_amount = hit_ovh
-                                        break
-                                    i += 1
-                                else:
-                                    cache.misses += 1
-                                    extra = store_miss(block_addr, addr, value, 4)
-                                    cycles = cyc[k] + extra
-                                    amount = cycles * step_energy
-                                    if ovh:
-                                        ovh_amount = cycles * overhead_leak
-                            else:
-                                extra = arch_store(addr, value, 4)
-                                cycles = cyc[k] + extra
-                                amount = cycles * step_energy
-                                if ovh:
-                                    ovh_amount = cycles * overhead_leak
-                        elif kind == 2:  # load byte
-                            _value, extra = arch_load(addr, 1)
-                            cycles = cyc[k] + extra
-                            amount = cycles * step_energy
-                            if ovh:
-                                ovh_amount = cycles * overhead_leak
-                        else:  # store byte
-                            extra = arch_store(addr, op[-1], 1)
-                            cycles = cyc[k] + extra
-                            amount = cycles * step_energy
-                            if ovh:
-                                ovh_amount = cycles * overhead_leak
-                        if msid >= 0:
-                            span.rescan_set(msid, stats.backups != b0)
-                    k += 1
-                    if k == halt_at:
-                        core.halted = True
-                    if boundary is not None and boundary[k - 1]:
-                        note_boundary()
-                    steps += 1
-                    self.active_cycles += cycles
-                    energy = capacitor.energy
-                    if ledger._fwd_touched and energy >= amount:
-                        ledger._fwd_pending += amount
-                        energy -= amount
-                        if not ovh:
-                            capacitor.energy = energy
-                        elif ledger._ovh_touched and energy >= ovh_amount:
-                            ledger._ovh_pending += ovh_amount
-                            energy -= ovh_amount
-                            capacitor.energy = energy
-                        else:
-                            capacitor.energy = energy
-                            charge_overhead(ovh_amount)
-                            energy = capacitor.energy
-                    else:
-                        charge_forward(amount)
-                        if ovh:
-                            charge_overhead(ovh_amount)
-                        energy = capacitor.energy
-                    if injector is not None:
-                        injector.on_step()
-                    if gmode:
-                        if gmode == 1:
-                            floor += growth
-                            if energy > floor:
-                                continue
-                        else:
-                            skipped += cycles
-                            if skipped < budget:
-                                continue
-                            resync(skipped - cycles)
-                        gmode = 0
-                    if decide is not None:
-                        action, guard = decide(self, cycles)
-                    else:
-                        action = after_step(self, cycles)
-                        guard = None
-                    if action is none_action:
-                        if guard is not None:
-                            floor, growth, budget, resync = guard
-                            if budget == inf:
-                                gmode = 1
-                            elif resync is not None:
-                                skipped = 0
-                                gmode = 2
-                    elif action is backup_action:
-                        self._mark = k
-                        if span is not None:
-                            span.note_backup()
-                        backup(BackupReason.POLICY)
-                        policy.on_backup(self)
-                    elif action is shutdown_action:
-                        self._mark = k
-                        if span is not None:
-                            span.stale = True
-                        backup(BackupReason.POLICY)
-                        policy.on_backup(self)
-                        self._shutdown()
-                        k = self._k
-                except PowerFailure:
-                    self._power_failure()
-                    if span is not None:
-                        span.stale = True
-                    gmode = 0
-                    k = self._k
-        finally:
-            core.instructions_retired += steps
-
-    def _replay_hooked(self):
-        """Mirror of ``Platform._run_reference`` for runs with a retire
-        hook (instruction tracers, chained hooks): the hook receives
-        the same (pc, instruction, cycles) stream ``Core.step`` emits."""
-        image = self._image
-        memops = image.memops
-        cyc = image.cycles
-        idx = image.indices
-        pcs = image.pcs
-        code = self.program.instructions
-        core = self.core
-        hook = core.on_retire
-        policy = self.policy
-        ledger = self.ledger
-        arch = self.arch
-        injector = self._injector
-        arch_load = arch.load
-        arch_store = arch.store
-        step_energy = self._cpu_cycle_energy + self._leak
-        overhead_leak = self._overhead_leak
-        n = image.steps
-        halt_at = n if image.halted else -1
-        steps = 0
-        max_steps = self.config.max_steps
-        k = self._k
-        while True:
-            if core.halted:
-                self._mark = k
-                try:
-                    arch.backup(BackupReason.FINAL)
-                    break
-                except PowerFailure:
-                    self._power_failure()
-                    k = self._k
-                    continue
-            if steps >= max_steps:
-                raise SimulationError(f"exceeded {max_steps} instructions")
-            if k >= n:
-                raise SimulationError(
-                    "execution trace exhausted before the instruction bound"
-                )
-            try:
-                op = memops[k]
-                cycles = cyc[k]
-                if op is not None:
-                    self._mark = k
-                    kind = op[0]
-                    if kind == 0:
-                        _value, extra = arch_load(op[1], 4)
-                    elif kind == 1:
-                        extra = arch_store(op[1], op[2], 4)
-                    elif kind == 2:
-                        _value, extra = arch_load(op[1], 1)
-                    else:
-                        extra = arch_store(op[1], op[2], 1)
-                    cycles += extra
-                pc = pcs[k]
-                instr = code[idx[k]]
-                k += 1
-                if k == halt_at:
-                    core.halted = True
-                core.instructions_retired += 1
-                hook(pc, instr, cycles)
-                steps += 1
-                self.active_cycles += cycles
-                ledger.charge("forward", cycles * step_energy)
-                if overhead_leak:
-                    ledger.charge("forward_overhead", cycles * overhead_leak)
-                if injector is not None:
-                    injector.on_step()
-                self._mark = k
-                action = policy.after_step(self, cycles)
-                if action == PolicyAction.BACKUP:
-                    arch.backup(BackupReason.POLICY)
-                    policy.on_backup(self)
-                elif action == PolicyAction.SHUTDOWN:
-                    arch.backup(BackupReason.POLICY)
-                    policy.on_backup(self)
-                    self._shutdown()
-                    k = self._k
-            except PowerFailure:
-                self._power_failure()
-                k = self._k

@@ -9,6 +9,7 @@ from repro.arch.hoop import HoopArchitecture
 from repro.arch.ideal import IdealArchitecture
 from repro.arch.nvmr import NvmrArchitecture
 from repro.asm.program import MemoryLayout
+from repro.cpu.core import Core
 from repro.cpu.state import RegisterFile
 from repro.energy.accounting import EnergyLedger
 from repro.energy.capacitor import Supercapacitor
@@ -17,7 +18,11 @@ from repro.mem.nvm import NvmFlash
 
 
 class FakeCore:
-    """Just enough of a Core for backup/restore: a register file."""
+    """Just enough of a Core for backup/restore: a register file and
+    the core's checkpoint payload methods."""
+
+    checkpoint = Core.checkpoint
+    resume = Core.resume
 
     def __init__(self):
         self.rf = RegisterFile()

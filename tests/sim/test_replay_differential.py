@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.arch import ARCHITECTURES
 from repro.energy.traces import HarvestTrace
 from repro.policies import POLICIES
+from repro.policies.task import TaskBoundaryPolicy
 from repro.sim import epochs
 from repro.sim.epochs import guard_trip_step
 from repro.sim.platform import Platform, PlatformConfig, SimulationError
@@ -33,6 +34,7 @@ from repro.sim.replay import (
     replay_workload,
 )
 from repro.sim.trace import DERIVED_CACHE_ENTRIES
+from repro.sim.tracing import InstructionTracer
 from repro.workloads import load_program, verify_platform
 
 #: Every registered architecture the replayer serves (ideal is
@@ -266,20 +268,22 @@ def test_compiled_replay_equals_scalar_under_adversarial_chunking(
 
 def test_task_replay_uses_boundary_mask(monkeypatch):
     """The task policy's call-boundary opcodes stand in for its retire
-    hook: replay keeps the stream loop (never the hooked reference
-    mirror) and still matches the fast engine bit for bit."""
+    hook: replay never calls the hook (the per-step mask replaced it)
+    and still matches the fast engine bit for bit."""
     program = load_program("hist")
     image = get_image("hist")
     config = PlatformConfig(arch="nvmr", policy="task")
 
-    def no_hooked(self):
-        raise AssertionError("task replay fell back to _replay_hooked")
+    def no_hook(self, pc, instr, cycles):
+        raise AssertionError("task replay ran the retire hook")
 
-    monkeypatch.setattr(ReplayPlatform, "_replay_hooked", no_hooked)
-    replay = ReplayPlatform(
-        program, image, config, trace=HarvestTrace(0), benchmark_name="hist"
-    )
-    replay_result = replay.run()
+    with monkeypatch.context() as patch:
+        patch.setattr(TaskBoundaryPolicy, "_on_retire", no_hook)
+        replay = ReplayPlatform(
+            program, image, config, trace=HarvestTrace(0),
+            benchmark_name="hist",
+        )
+        replay_result = replay.run()
     fast = Platform(
         program, config, trace=HarvestTrace(0), benchmark_name="hist"
     )
@@ -287,6 +291,75 @@ def test_task_replay_uses_boundary_mask(monkeypatch):
     for name in fast_result.__dataclass_fields__:
         assert getattr(replay_result, name) == getattr(fast_result, name), name
     assert replay.nvm._words == fast.nvm._words
+
+
+@pytest.mark.parametrize("arch", ["clank", "nvmr", "hoop"])
+@pytest.mark.parametrize("policy", ["jit", "watchdog", "task"])
+def test_retire_hooks_see_identical_streams(arch, policy):
+    """An attached instruction tracer sees the same retired stream under
+    replay, the fast engine and the reference interpreter, and does not
+    perturb the run.  The task cases chain the policy's own hook behind
+    the tracer's, so replay cannot swap it for the boundary mask."""
+    program = load_program("hist")
+    image = get_image("hist")
+    config = PlatformConfig(arch=arch, policy=policy)
+    platforms = {
+        "replay": ReplayPlatform(
+            program, image, config, trace=HarvestTrace(0),
+            benchmark_name="hist",
+        ),
+        "fast": Platform(
+            program, config, trace=HarvestTrace(0), benchmark_name="hist"
+        ),
+        "reference": Platform(
+            program, replace(config, fast=False), trace=HarvestTrace(0),
+            benchmark_name="hist",
+        ),
+    }
+    runs = {}
+    for tag, platform in platforms.items():
+        tracer = InstructionTracer(capacity=None).attach(platform.core)
+        runs[tag] = (platform.run(), tracer, platform)
+    ref_result, ref_tracer, ref_platform = runs["reference"]
+    assert ref_tracer.retired == ref_result.instructions
+    for tag in ("replay", "fast"):
+        result, tracer, platform = runs[tag]
+        assert tracer.entries == ref_tracer.entries, tag
+        assert tracer.retired == ref_tracer.retired, tag
+        assert tracer.cycles == ref_tracer.cycles, tag
+        assert result == ref_result, tag
+        assert platform.nvm._words == ref_platform.nvm._words, tag
+
+
+def test_replay_checkpoint_carries_cursor(monkeypatch):
+    """The trace cursor rides in the checkpoint the core builds — no
+    architecture method is shadowed per instance — and a restore after
+    a power failure resumes the stream from the committed cursor."""
+    program = load_program("hist")
+    image = get_image("hist")
+    config = PlatformConfig(arch="nvmr", policy="watchdog")
+    platform = ReplayPlatform(
+        program, image, config, trace=HarvestTrace(0), benchmark_name="hist"
+    )
+    arch = platform.arch
+    restores = []
+    original_restore = type(arch).restore
+
+    def watched_restore(self):
+        original_restore(self)
+        payload = self.nvm.committed_checkpoint()
+        restores.append((payload["replay_k"], platform.core.k))
+
+    monkeypatch.setattr(type(arch), "restore", watched_restore)
+    platform.run()
+    assert platform.power_failures > 0
+    for name in ("snapshot_payload", "restore"):
+        assert name not in vars(arch), name
+    assert restores and all(k == cursor for k, cursor in restores)
+    assert any(k > 0 for k, _ in restores)
+    payload = platform.nvm.committed_checkpoint()
+    assert payload["checkpoint"].pc == image.pcs[payload["replay_k"]]
+    assert arch.snapshot_payload()["replay_k"] == platform.core.k
 
 
 # ------------------------------------------------- guard_trip_step
