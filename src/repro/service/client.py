@@ -160,18 +160,27 @@ class ServiceClient:
             connection.close()
 
     def run(self, experiment, settings="default", workers=None,
-            on_event=None, timeout=600.0):
+            on_event=None):
         """Submit an experiment and block until its result.
 
-        Streams progress into ``on_event(event_dict)`` when given;
-        returns the final job snapshot.
+        Streams the job's events, passing progress into
+        ``on_event(event_dict)`` when given, and returns the stream's
+        final line: the settled job's snapshot, result included (no
+        follow-up poll).  Raises :class:`JobFailed` if the job failed;
+        the client's ``timeout`` bounds the wait between streamed lines.
         """
         submitted = self.submit_experiment(
             experiment, settings=settings, workers=workers
         )
         job_id = submitted["job"]
-        if on_event is not None:
-            for line in self.stream_events(job_id):
-                if "event" in line:
-                    on_event(line["event"])
-        return self.wait(job_id, timeout=timeout)
+        final = None
+        for line in self.stream_events(job_id):
+            if "event" not in line:
+                final = line
+            elif on_event is not None:
+                on_event(line["event"])
+        if final is None:
+            raise ServiceUnavailable(f"events for {job_id} ended unsettled")
+        if final["state"] == "failed":
+            raise JobFailed(final)
+        return final

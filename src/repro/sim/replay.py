@@ -621,8 +621,8 @@ class ReplayStats:
     Counts every quantum window the run executes and how many of them
     (and of their steps) the compiled executor served, and a histogram
     of why windows fell back to the scalar path.  Cheap enough to stay on unconditionally
-    (two integer adds per window); surfaced by ``bench_replay.py
-    --profile`` and recorded in ``BENCH_replay.json``.
+    (two integer adds per window); perfbench sums these fields into its
+    ``sim.replay.*`` counters.
     """
 
     __slots__ = ("windows", "window_steps", "compiled_windows",

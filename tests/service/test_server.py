@@ -105,10 +105,26 @@ def test_experiments_lists_the_registry(client):
     assert all({"id", "title", "static"} <= set(spec) for spec in listed)
 
 
-def test_experiment_round_trip_matches_in_process(client, server, tmp_path):
+def _record_requests(client, monkeypatch):
+    """Every (method, path) the client sends outside the event stream."""
+    sent = []
+    real_request = client._request
+
+    def spy(method, path, body=None):
+        sent.append((method, path))
+        return real_request(method, path, body)
+
+    monkeypatch.setattr(client, "_request", spy)
+    return sent
+
+
+def test_experiment_round_trip_matches_in_process(client, server, tmp_path,
+                                                  monkeypatch):
     events = []
-    final = client.run(EXPERIMENT, settings="smoke",
-                       on_event=events.append, timeout=120)
+    sent = _record_requests(client, monkeypatch)
+    final = client.run(EXPERIMENT, settings="smoke", on_event=events.append)
+    # The stream's final line is the whole snapshot: no re-poll.
+    assert sent == [("POST", "/experiment")]
     assert final["state"] == "done"
     result = final["result"]
     assert result["experiment"] == EXPERIMENT
@@ -195,6 +211,12 @@ def test_failed_job_raises_job_failed(client, monkeypatch):
         client.wait(submitted["job"], timeout=30)
     snapshot = client.job(submitted["job"])
     assert snapshot["state"] == "failed"
+    # client.run learns the failure from the stream's final line.
+    sent = _record_requests(client, monkeypatch)
+    with pytest.raises(JobFailed, match="engine exploded") as failure:
+        client.run(EXPERIMENT, settings="smoke", workers=1)
+    assert failure.value.snapshot["state"] == "failed"
+    assert sent == [("POST", "/experiment")]
 
 
 def test_backpressure_refuses_when_backlog_full(tmp_path, monkeypatch):

@@ -10,14 +10,19 @@ NVM memory word.
 
 Any divergence — however small — means the fast path changed modeled
 behaviour, not just speed, and is a bug by definition.
+
+The ``gate``-marked speed floor (``pytest -m gate tests/sim``) checks
+that the fast path still pays for itself.
 """
+
+import time
 
 import pytest
 
 from repro.energy.faultinject import AdversarialSource, boundary_sweep
 from repro.energy.traces import HarvestTrace
 from repro.sim.platform import Platform, PlatformConfig
-from repro.workloads import BENCHMARKS, load_program
+from repro.workloads import BENCHMARKS, load_program, run_workload
 
 ARCHES = ("clank", "nvmr")
 POLICIES = ("jit", "watchdog")
@@ -49,6 +54,45 @@ def test_fast_path_is_bit_identical(bench, arch, policy):
 
     assert len(fast_platform.events) == len(ref_platform.events)
     assert fast_platform.nvm._words == ref_platform.nvm._words
+
+
+#: Minimum fast/reference speedup on the smoke Figure 10 experiment: far
+#: under the ratio a quiet host measures, so only a real regression
+#: trips it, not timing noise.
+FAST_SPEED_FLOOR = 1.5
+
+
+@pytest.mark.gate
+def test_fast_engine_speeds_up_fig10_smoke(monkeypatch):
+    """The smoke Figure 10 experiment, replay off and the run cache cleared
+    before each side, runs at least 1.5x faster (CPU seconds) on the
+    fast engine than on the reference interpreter."""
+    from repro.analysis.experiments import (
+        ExperimentSettings,
+        clear_run_cache,
+        fig10_backup_schemes,
+    )
+
+    settings = ExperimentSettings.smoke()
+    # One-time costs outside the timing: compilation and the
+    # Spendthrift model's lazy training.
+    for bench in settings.benchmarks:
+        load_program(bench)
+    run_workload("hist", arch="clank", policy="spendthrift", trace_seed=0)
+    monkeypatch.setenv("REPRO_REPLAY", "0")
+    seconds = {}
+    for fast in ("1", "0"):
+        monkeypatch.setenv("REPRO_FAST", fast)
+        clear_run_cache()
+        start = time.process_time()
+        fig10_backup_schemes(settings)
+        seconds[fast] = time.process_time() - start
+    clear_run_cache()
+    speedup = seconds["0"] / seconds["1"]
+    assert speedup >= FAST_SPEED_FLOOR, (
+        f"fast {seconds['1']:.2f}s vs reference {seconds['0']:.2f}s "
+        f"({speedup:.2f}x < {FAST_SPEED_FLOOR}x)"
+    )
 
 
 # ------------------------------------------------- adversarial schedules

@@ -11,8 +11,13 @@ length, every final NVM word, the committed checkpoint cursor and the
 verified program outputs — including configurations where the
 simulator itself fails (``never`` on an architecture that needs
 backups must fail identically under replay).
+
+Tests marked ``gate`` are left out of the default run (``pytest -m
+gate tests/sim`` runs them): the full Figure 10 grid through the same
+four-way compare, and the compiled executor's speed floor.
 """
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +40,7 @@ from repro.sim.replay import (
 )
 from repro.sim.trace import DERIVED_CACHE_ENTRIES
 from repro.sim.tracing import InstructionTracer
-from repro.workloads import load_program, verify_platform
+from repro.workloads import BENCHMARKS, load_program, verify_platform
 
 #: Every registered architecture the replayer serves (ideal is
 #: intentionally bypassed; see test_ideal_is_bypassed).
@@ -123,6 +128,29 @@ def test_replay_matches_simulator_across_matrix(arch, policy):
 @pytest.mark.parametrize("arch", ["clank", "nvmr"])
 def test_replay_matches_simulator_across_benchmarks(bench, arch):
     _compare(bench, PlatformConfig(arch=arch, policy="jit"), seed=1)
+
+
+#: The Figure 10 configurations: NvMR vs Clank under each backup
+#: scheme, the paper's headline result.
+FIG10_CONFIGS = [
+    (arch, policy)
+    for arch in ("clank", "nvmr")
+    for policy in ("jit", "spendthrift", "watchdog")
+]
+
+#: The Figure 10 grid: every benchmark under two harvest traces.
+FIG10_GRID = [
+    (bench, seed, arch, policy)
+    for bench in BENCHMARKS
+    for seed in (0, 1)
+    for arch, policy in FIG10_CONFIGS
+]
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("bench,seed,arch,policy", FIG10_GRID)
+def test_fig10_grid(bench, seed, arch, policy):
+    _compare(bench, PlatformConfig(arch=arch, policy=policy), seed=seed)
 
 
 #: A sampled sub-grid of the Pareto sweeps' tunables (one non-default
@@ -264,6 +292,48 @@ def test_compiled_replay_equals_scalar_under_adversarial_chunking(
     assert compiled_platform.nvm._words == scalar_platform.nvm._words
     # The compiled executor must actually have carried some windows.
     assert compiled_platform.stats.compiled_windows > 0
+
+
+#: Minimum compiled/scalar replay throughput on the long-window
+#: benchmarks: headroom for timing noise, not a target.
+COMPILED_SPEED_FLOOR = 0.9
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("bench", ["basicmath", "2dconv"])
+def test_compiled_replay_keeps_pace_with_scalar(bench):
+    """On the two benchmarks with the longest compiled windows, where
+    vectorized windows must pay for their fixed costs, compiled replay
+    runs the six Figure 10 configurations at no less than 0.9x the
+    scalar window's speed (CPU seconds, best of two per executor, after
+    an untimed pass that builds the epoch scripts) with equal results."""
+    program = load_program(bench)
+    image = get_image(bench)
+
+    def sweep(compiled):
+        seconds, results = 0.0, []
+        for arch, policy in FIG10_CONFIGS:
+            platform = ReplayPlatform(
+                program, image, PlatformConfig(arch=arch, policy=policy),
+                trace=HarvestTrace(0), benchmark_name=bench,
+                compiled=compiled,
+            )
+            start = time.process_time()
+            results.append(platform.run())
+            seconds += time.process_time() - start
+        return seconds, results
+
+    sweep(compiled=True)
+    (scalar_s, scalar), (compiled_s, compiled) = (
+        min((sweep(mode) for _ in range(2)), key=lambda run: run[0])
+        for mode in (False, True)
+    )
+    assert compiled == scalar
+    ratio = scalar_s / compiled_s
+    assert ratio >= COMPILED_SPEED_FLOOR, (
+        f"{bench}: compiled {compiled_s:.2f}s vs scalar {scalar_s:.2f}s "
+        f"({ratio:.2f}x < {COMPILED_SPEED_FLOOR}x)"
+    )
 
 
 def test_task_replay_uses_boundary_mask(monkeypatch):
