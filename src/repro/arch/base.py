@@ -68,19 +68,10 @@ class IntermittentArchitecture(MemorySystem):
     #: terms in ``dirty_lines()`` order, where reassociation can shift
     #: the sum by ULPs.  Architectures whose estimate depends only on
     #: the dirty-line count may set this False, letting a trace
-    #: replayer's event-revoked guard skip revoking on promotions.
+    #: replayer hold an event-revoked guard's floor static between
+    #: dirty-set events; True (the safe default) keeps the growing
+    #: floor the fast engine uses.
     estimate_reorder_sensitive = True
-
-    #: Optional refinement of :attr:`estimate_reorder_sensitive`: a
-    #: callable ``tag(line)`` classifying each dirty line by its
-    #: per-line estimate term.  Lines with equal tags contribute
-    #: *bit-identical* float terms, so permuting them cannot move the
-    #: accumulated sum — a replayer only needs to treat a cache set as
-    #: reorder-hazardous when it holds two dirty lines with *different*
-    #: tags.  ``None`` (the default) means no such classification
-    #: exists and every multi-dirty set of a reorder-sensitive
-    #: architecture is hazardous.
-    estimate_order_tag = None
 
     def __init__(self, nvm, ledger, energy, layout):
         self.nvm = nvm

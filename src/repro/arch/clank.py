@@ -29,7 +29,7 @@ class ClankArchitecture(CachedArchitecture):
 
     #: estimate_backup_cost depends only on the dirty-line *count*, so
     #: reordering dirty lines (an LRU promotion) cannot move it — a
-    #: trace replayer's event-revoked guard need not revoke on those.
+    #: trace replayer may hold an event-revoked guard's floor static.
     estimate_reorder_sensitive = False
 
     def _handle_dirty_eviction(self, line):

@@ -287,8 +287,8 @@ class NvmrArchitecture(CachedArchitecture):
         # adds one constant, so the float sum depends only on the two
         # counts — never on dirty-line order.  That makes the plan's
         # price invariant under LRU promotions, which lets
-        # ``estimate_reorder_sensitive`` stay False (a trace replayer's
-        # event-revoked guard need not revoke on promotions).
+        # ``estimate_reorder_sensitive`` stay False (a trace replayer
+        # may hold an event-revoked guard's floor static).
         for _ in dirty:
             overhead += energy.mtc_access
         probe = self.MAP_ENTRY_WORDS * energy.nvm_read_word

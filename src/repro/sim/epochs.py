@@ -33,18 +33,18 @@ every batched operation reproduces the scalar float chain exactly:
   prefix sum;
 * within a window no line is ever evicted and (for event-revoked
   guards) no clean line is ever dirtied, so the steps that can break
-  a window structurally — byte ops, misses, clean stores, reorder
-  hazards — are a boolean mask over precompiled per-memop arrays, and
-  everything before the first break is a pure hit run whose side
-  effects (word values, first-touch states, dirty flags, LRU order)
-  reduce to per-(block, word) net effects applied once at commit.
+  a window structurally — byte ops, misses, clean stores — are a
+  boolean mask over precompiled per-memop arrays, and everything
+  before the first break is a pure hit run whose side effects (word
+  values, first-touch states, dirty flags, LRU order) reduce to
+  per-(block, word) net effects applied once at commit.
 
 The breaking step itself is *never* committed; the general replay body
 re-executes it, exactly as the scalar window behaves.  Within the
 breaking step the simulator's check order decides which break wins
-(byte op, per-charge affordability, miss, floor/budget, clean store,
-reorder hazard) — the candidates below carry the same rank numbers the
-scalar loop uses, and the earliest (step, rank) pair wins.
+(byte op, per-charge affordability, miss, floor/budget, clean store) —
+the candidates below carry the same rank numbers the scalar loop uses,
+and the earliest (step, rank) pair wins.
 
 Script store
 ------------
@@ -477,7 +477,7 @@ class CompiledSpanState(_SpanState):
 
     A drop-in for ``_SpanState``: same constructor (plus an optional
     ``stats`` sink), same ``window`` contract, same bookkeeping hooks
-    (``note_memop`` / ``rescan_set`` / ``note_backup`` are inherited).
+    (``note_memop`` / ``rescan_set`` are inherited).
     ``window`` runs a short scalar prefix (cheap for the short windows
     that dominate at guard entry), then scans the remaining steps in
     doubling chunks of array ops, committing whole hit runs at once
@@ -489,12 +489,11 @@ class CompiledSpanState(_SpanState):
                  "_phases", "_gain", "_vec_off", "_cooloff", "_backoff",
                  "stats")
 
-    def __init__(self, image, arch, jstatic, dirty_reorder,
+    def __init__(self, image, arch, jstatic,
                  step_energy, access_amount, hit_amount,
                  overhead_leak=None, hit_ovh=None, stats=None):
         super().__init__(
-            image, arch, jstatic, dirty_reorder,
-            step_energy, access_amount, hit_amount,
+            image, arch, jstatic, step_energy, access_amount, hit_amount,
             overhead_leak, hit_ovh,
         )
         sets, shift, smask = arch._set_geom
@@ -664,9 +663,6 @@ class CompiledSpanState(_SpanState):
         mprefix = script.mprefix
         jstatic = self.jstatic and gmode != 2
         res, dirty = self._fill_bitmaps(jstatic)
-        if jstatic:
-            check_hz = self.dirty_reorder
-            hz_bm = self.hz_bm
         phase_start = k
         rank = 9
         chunk = _CHUNK
@@ -677,7 +673,7 @@ class CompiledSpanState(_SpanState):
             if chunk < _CHUNK_MAX:
                 chunk *= 2
             # ---- structural break: first byte op / miss / clean
-            # store / reorder hazard among the chunk's memops.
+            # store among the chunk's memops.
             m0 = int(mprefix[k])
             m1 = int(mprefix[ce])
             bstep = ce
@@ -686,10 +682,7 @@ class CompiledSpanState(_SpanState):
                 blk = script.blk[m0:m1]
                 bad = script.is_byte[m0:m1] | ~res[blk]
                 if jstatic:
-                    dirty_at = dirty[blk]
-                    bad |= script.is_store[m0:m1] & ~dirty_at
-                    if check_hz:
-                        bad |= dirty_at & hz_bm[blk]
+                    bad |= script.is_store[m0:m1] & ~dirty[blk]
                 if bad.any():
                     mb = m0 + int(np.argmax(bad))
                     bstep = int(script.mpos[mb])
@@ -698,10 +691,8 @@ class CompiledSpanState(_SpanState):
                         brank = 0
                     elif not res[bid]:
                         brank = 2
-                    elif script.is_store[mb] and not dirty[bid]:
-                        brank = 6
                     else:
-                        brank = 7
+                        brank = 6
             # The energy scan covers the earliest break candidate's own
             # step too — its charges are checked before it breaks.
             cap = min(ce, bstep + 1, jb + 1)
@@ -773,7 +764,7 @@ class CompiledSpanState(_SpanState):
             phase_start, k, fwd_pending, ovh_pending,
             wextra, wloads, wstores,
         )
-        revoke = self.jstatic and rank in (0, 2, 5, 6, 7)
+        revoke = self.jstatic and rank in (0, 2, 5, 6)
         return (k, energy, fwd_pending, ovh_pending, floor, skipped,
                 wextra, wloads, wstores, revoke)
 
@@ -857,8 +848,7 @@ class CompiledSpanState(_SpanState):
             lines[:] = promoted + rest
 
 
-def make_span(image, arch, jstatic, dirty_reorder,
-              step_energy, access_amount, hit_amount,
+def make_span(image, arch, jstatic, step_energy, access_amount, hit_amount,
               overhead_leak=None, hit_ovh=None, stats=None):
     """A :class:`CompiledSpanState`, or None on any construction
     failure — the caller falls back to the scalar ``_SpanState``, so a
@@ -866,8 +856,7 @@ def make_span(image, arch, jstatic, dirty_reorder,
     replay down."""
     try:
         return CompiledSpanState(
-            image, arch, jstatic, dirty_reorder,
-            step_energy, access_amount, hit_amount,
+            image, arch, jstatic, step_energy, access_amount, hit_amount,
             overhead_leak, hit_ovh, stats=stats,
         )
     except Exception:

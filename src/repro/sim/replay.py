@@ -47,8 +47,6 @@ sweeps through replay.
 import gc
 import os
 
-import numpy as np
-
 from repro.cpu.core import Core
 from repro.cpu.fastcore import inlines_cache_hits
 from repro.cpu.state import Checkpoint
@@ -219,11 +217,10 @@ class _SpanState:
     __slots__ = (
         "sets", "mstep", "id_of_block", "cycb_py", "amt_py", "ovh_py",
         "access_amount", "hit_amount", "hit_ovh",
-        "line_of", "hz_bm", "set_bids",
-        "jstatic", "order_tag", "dirty_reorder", "stale",
+        "line_of", "set_bids", "jstatic", "stale",
     )
 
-    def __init__(self, image, arch, jstatic, dirty_reorder,
+    def __init__(self, image, arch, jstatic,
                  step_energy, access_amount, hit_amount,
                  overhead_leak=None, hit_ovh=None):
         sets, shift, smask = arch._set_geom
@@ -241,123 +238,52 @@ class _SpanState:
         self.hit_amount = hit_amount
         self.hit_ovh = hit_ovh
         self.line_of = {}
-        self.hz_bm = np.zeros(geom["nblocks"], dtype=bool)
         self.set_bids = [[] for _ in self.sets]
         self.jstatic = jstatic
-        self.order_tag = (
-            getattr(arch, "estimate_order_tag", None)
-            if jstatic and dirty_reorder else None
-        )
-        self.dirty_reorder = dirty_reorder
         self.stale = True
 
-    def _rebuild(self):
+    def _scan_set(self, sidx):
         id_of = self.id_of_block
         line_of = self.line_of
-        line_of.clear()
-        hz = []
-        sensitive = self.jstatic and self.dirty_reorder
-        tag = self.order_tag
-        set_bids = self.set_bids
-        for sidx, lines in enumerate(self.sets):
-            set_dirty = None
-            cur = []
-            for line in lines:
-                if not line.valid:
-                    continue
+        cur = []
+        for line in self.sets[sidx]:
+            if line.valid:
                 bid = id_of[line.block_addr]
                 line_of[bid] = line
                 cur.append(bid)
-                if sensitive and line.dirty:
-                    if set_dirty is None:
-                        set_dirty = [(bid, line)]
-                    else:
-                        set_dirty.append((bid, line))
-            if sensitive and set_dirty is not None and len(set_dirty) > 1:
-                # Promoting a dirty line past other dirty lines of its
-                # set reorders the per-line terms of a
-                # reorder-sensitive backup estimate.  If every dirty
-                # line of the set contributes an identical term
-                # sequence (equal order tags), any permutation sums
-                # bit-identically and promotions are safe; otherwise
-                # every access to one of these blocks conservatively
-                # ends the span with a revoke (extra decides are
-                # side-effect free for guard_event_revoke policies).
-                if tag is None:
-                    hz.extend(bid for bid, _ in set_dirty)
-                else:
-                    t0 = tag(set_dirty[0][1])
-                    if any(tag(ln) != t0 for _, ln in set_dirty[1:]):
-                        hz.extend(bid for bid, _ in set_dirty)
-            set_bids[sidx] = cur
-        self.hz_bm[:] = False
-        if hz:
-            self.hz_bm[hz] = True
+        self.set_bids[sidx] = cur
+
+    def _rebuild(self):
+        self.line_of.clear()
+        for sidx in range(len(self.sets)):
+            self._scan_set(sidx)
         self.stale = False
 
     def note_memop(self, k):
         """General body is about to replay the memory op at step ``k``.
 
         A hit only promotes the line within its set — and, on a store,
-        possibly dirties it — so the block->line map survives most
-        general-body ops.  A miss (eviction + install) returns the set
-        index so the caller can :meth:`rescan_set` once the op has
-        executed; reorder-sensitive estimates fall back to a full
-        rebuild (their hazard view is global, and a store to a clean
-        line changes it too).  Called *before* the op executes:
-        ``line_of`` still reflects the pre-op mapping.  Returns -1
-        when no post-op rescan is needed.
+        possibly dirties it — so the block->line map survives it.  A
+        miss (eviction + install) returns the set index so the caller
+        can :meth:`rescan_set` once the op has executed.  Called
+        *before* the op executes: ``line_of`` still reflects the pre-op
+        mapping.  Returns -1 when no post-op rescan is needed.
         """
         if self.stale:
             return -1
-        kind, bid, sidx, _w, _val = self.mstep[k]
-        line = self.line_of.get(bid)
-        if line is None:
-            if self.jstatic and self.dirty_reorder:
-                self.stale = True
-                return -1
-            return sidx
-        if (
-            kind & 1 and not line.dirty
-            and self.jstatic and self.dirty_reorder
-        ):
-            self.stale = True
-        return -1
+        _kind, bid, sidx, _w, _val = self.mstep[k]
+        return -1 if bid in self.line_of else sidx
 
-    def rescan_set(self, sidx, cleaned):
-        """Refresh the block->line map for one set after a miss.
-
-        A miss only rewrites its own set (victim out, fill in) — unless
-        it escalated into a backup (``cleaned``: a violation or
-        structural backup ran inside the miss), which additionally
-        cleaned every dirty line globally.
-        """
+    def rescan_set(self, sidx):
+        """Refresh the block->line map for one set after a miss, which
+        only rewrites its own set (victim out, fill in): backups clean
+        dirty lines in place and never evict."""
         if self.stale:
             return
-        if cleaned:
-            self.hz_bm[:] = False
         line_of = self.line_of
         for bid in self.set_bids[sidx]:
             del line_of[bid]
-        id_of = self.id_of_block
-        cur = []
-        for line in self.sets[sidx]:
-            if not line.valid:
-                continue
-            bid = id_of[line.block_addr]
-            line_of[bid] = line
-            cur.append(bid)
-        self.set_bids[sidx] = cur
-
-    def note_backup(self):
-        """A policy-action backup cleaned every dirty line in place.
-
-        Backups never evict (each architecture persists dirty lines
-        and clears their dirty flags; residency and the block->line
-        mapping are untouched), so only the hazard view resets.
-        """
-        if not self.stale:
-            self.hz_bm[:] = False
+        self._scan_set(sidx)
 
     def window(self, k, stop, gmode, energy, fwd_pending, ovh_pending,
                floor, growth, skipped, budget):
@@ -367,7 +293,7 @@ class _SpanState:
         wextra, wloads, wstores, revoke)`` — the breaking step is never
         committed, and within a step the simulator's check order
         decides which break wins (kind > 1, per-charge affordability,
-        miss, guard, clean store, reorder hazard).
+        miss, guard, clean store).
 
         One loop per guard regime — cycle budget (watchdog /
         spendthrift), static floor (event-revoked guard), growing
@@ -461,8 +387,6 @@ class _SpanState:
                         ovh_pending = ovh_pending + oa
                 k += 1
         elif self.jstatic:
-            check_hz = self.dirty_reorder
-            hz_bm = self.hz_bm
             while k < stop:
                 tup = mstep[k]
                 if tup is not None:
@@ -492,9 +416,6 @@ class _SpanState:
                         break
                     if kind and not line.dirty:
                         rank = 6
-                        break
-                    if check_hz and line.dirty and hz_bm[bid]:
-                        rank = 7
                         break
                     energy = e1
                     fwd_pending = fwd_pending + access_amount
@@ -610,7 +531,7 @@ class _SpanState:
                     if ovh:
                         ovh_pending = ovh_pending + oa
                 k += 1
-        revoke = self.jstatic and rank in (0, 2, 5, 6, 7)
+        revoke = self.jstatic and rank in (0, 2, 5, 6)
         return (k, energy, fwd_pending, ovh_pending, floor, skipped,
                 wextra, wloads, wstores, revoke)
 
@@ -620,9 +541,9 @@ class ReplayStats:
 
     Counts every quantum window the run executes and how many of them
     (and of their steps) the compiled executor served, and a histogram
-    of why windows fell back to the scalar path.  Cheap enough to stay on unconditionally
-    (two integer adds per window); perfbench sums these fields into its
-    ``sim.replay.*`` counters.
+    of why windows fell back to the scalar path.  Cheap enough to stay
+    on unconditionally (two integer adds per window); perfbench sums
+    these fields into its ``sim.replay.*`` counters.
     """
 
     __slots__ = ("windows", "window_steps", "compiled_windows",
@@ -637,34 +558,6 @@ class ReplayStats:
 
     def note_fallback(self, reason):
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-
-    @property
-    def compiled_hit_rate(self):
-        """Fraction of windows the compiled executor carried past its
-        scalar prefix."""
-        return self.compiled_windows / self.windows if self.windows else 0.0
-
-    @property
-    def mean_window_steps(self):
-        return self.window_steps / self.windows if self.windows else 0.0
-
-    @property
-    def mean_compiled_steps(self):
-        """Mean steps committed per compiled window (span length)."""
-        return (self.compiled_steps / self.compiled_windows
-                if self.compiled_windows else 0.0)
-
-    def to_dict(self):
-        return {
-            "windows": self.windows,
-            "window_steps": self.window_steps,
-            "compiled_windows": self.compiled_windows,
-            "compiled_steps": self.compiled_steps,
-            "compiled_hit_rate": self.compiled_hit_rate,
-            "mean_window_steps": self.mean_window_steps,
-            "mean_compiled_steps": self.mean_compiled_steps,
-            "fallbacks": dict(sorted(self.fallbacks.items())),
-        }
 
 
 class TraceCursor(Core):
@@ -691,8 +584,7 @@ class TraceCursor(Core):
 
     __slots__ = (
         "k", "_image", "_win_limit", "_stream", "_words", "_stats",
-        "_span", "_note_boundary", "_masked_hook", "_ovh", "_amounts",
-        "_ovh_amounts",
+        "_span", "_note_boundary", "_masked_hook", "_ovh",
     )
 
     def __init__(self, program, memory, image):
@@ -728,10 +620,6 @@ class TraceCursor(Core):
     # ------------------------------------------------------ checkpoints
     def checkpoint(self):
         k = self.k
-        span = self._span
-        if span is not None:
-            # Backups clean dirty lines in place and never evict.
-            span.note_backup()
         rf = self.rf
         return {
             "checkpoint": Checkpoint(
@@ -771,31 +659,29 @@ class TraceCursor(Core):
             self.on_retire = None
         self._stats = platform.stats
         span = None
-        window = None
         # Windows only ever run under a policy guard; fault injectors
-        # observe every step, so they get none.
-        if platform._injector is None and platform._consults_decide():
-            window = self.window
+        # observe every step, so they get none.  Without the inline hit
+        # path a window would stop at every memory op (one per ~2.4
+        # steps), which measured slower than no window at all.
+        if (self._words is not None and platform._injector is None
+                and platform._consults_decide()):
             step_energy = platform._cpu_cycle_energy + platform._leak
             overhead_leak = platform._overhead_leak
             ovh = self._ovh = bool(overhead_leak)
-            if self._words is not None:
-                span = platform._make_span(
-                    policy.guard_event_revoke,
-                    getattr(self.memory, "estimate_reorder_sensitive", True),
-                    step_energy, self._words[3], 3 * step_energy,
-                    overhead_leak if ovh else None,
-                    3 * overhead_leak if ovh else None,
-                )
-            else:
-                self._amounts = image.amounts(step_energy)
-                self._ovh_amounts = (
-                    image.overhead_amounts(overhead_leak) if ovh else None
-                )
+            # The static floor is sound only while LRU promotions
+            # cannot move the backup estimate; otherwise the window
+            # keeps the fast engine's growing floor.
+            span = platform._make_span(
+                policy.guard_event_revoke
+                and not self.memory.estimate_reorder_sensitive,
+                step_energy, self._words[3], 3 * step_energy,
+                overhead_leak if ovh else None,
+                3 * overhead_leak if ovh else None,
+            )
         self._span = span
         memops, cycles, halt_at = self._stream[:3]
         self._stream = (memops, cycles, halt_at, boundary, span)
-        return window
+        return None if span is None else self.window
 
     def end_run(self):
         if self._masked_hook is not None:
@@ -818,8 +704,6 @@ class TraceCursor(Core):
             cycles = cycles_at[k]
         else:
             msid = -1 if span is None else span.note_memop(k)
-            if msid >= 0:
-                backups = self.memory.stats.backups
             kind = op[0]
             words = self._words
             if kind < 2 and words is not None:
@@ -875,7 +759,7 @@ class TraceCursor(Core):
                 extra = self.memory.store(op[1], op[-1], 1)
             cycles = cycles_at[k] + extra
             if msid >= 0:
-                span.rescan_set(msid, self.memory.stats.backups != backups)
+                span.rescan_set(msid)
         self.k = k + 1
         if k + 1 == halt_at:
             self.halted = True
@@ -895,14 +779,13 @@ class TraceCursor(Core):
         Called by the run loop while a policy guard is active (``gmode``
         1: energy floor growing by ``growth`` per step, 2: cycle
         budget), for at most ``cap`` steps.  Inside a window the only
-        per-step effects are the charge stream and the guard test, so
-        plain steps run through a tight loop — the span executor
-        (:class:`_SpanState` or the compiled one) when the
-        architecture has the inline hit path, else a memop-free loop.
-        A step that would miss the cache, take a slow charge path,
-        revoke the guard or halt is *peeked* and never committed — the
-        loop executes it through :meth:`step` bit-identically.  Hit
-        counters are accumulated locally and synced at exit.
+        per-step effects are the charge stream, the guard test and
+        cache hits, so plain steps run through the span executor
+        (:class:`_SpanState` or the compiled one).  A step that would
+        miss the cache, take a slow charge path, revoke the guard or
+        halt is *peeked* and never committed — the loop executes it
+        through :meth:`step` bit-identically.  Hit counters are
+        accumulated locally and synced at exit.
 
         Returns ``(steps, cycles, floor, skipped, revoke)``; ``revoke``
         drops the guard so the next step consults the policy.
@@ -917,52 +800,12 @@ class TraceCursor(Core):
         stop = self._win_limit
         if stop - k > cap:
             stop = k + cap
-        span = self._span
-        if span is not None:
-            (k, energy, fwd_pending, ovh_pending, floor, skipped,
-             wextra, wloads, wstores, revoke) = span.window(
-                k, stop, gmode, capacitor.energy, ledger._fwd_pending,
-                ledger._ovh_pending if ovh else 0.0,
-                floor, growth, skipped, budget,
-            )
-        else:
-            # No inline hit path: windows stop at every memory op and
-            # never hold an event-revoked (static) floor.
-            wextra = 0
-            revoke = False
-            memops, cyc = self._stream[:2]
-            amounts = self._amounts
-            ovh_amounts = self._ovh_amounts
-            energy = capacitor.energy
-            fwd_pending = ledger._fwd_pending
-            ovh_pending = ledger._ovh_pending if ovh else 0.0
-            while k < stop:
-                if memops[k] is not None:
-                    break
-                amount = amounts[k]
-                if energy < amount:
-                    break
-                e1 = energy - amount
-                if ovh:
-                    ovh_amount = ovh_amounts[k]
-                    if e1 < ovh_amount:
-                        break
-                    e1 = e1 - ovh_amount
-                if gmode == 2:
-                    s2 = skipped + cyc[k]
-                    if s2 >= budget:
-                        break
-                    skipped = s2
-                else:
-                    f2 = floor + growth
-                    if e1 <= f2:
-                        break
-                    floor = f2
-                energy = e1
-                fwd_pending += amount
-                if ovh:
-                    ovh_pending += ovh_amount
-                k += 1
+        (k, energy, fwd_pending, ovh_pending, floor, skipped,
+         wextra, wloads, wstores, revoke) = self._span.window(
+            k, stop, gmode, capacitor.energy, ledger._fwd_pending,
+            ledger._ovh_pending if ovh else 0.0,
+            floor, growth, skipped, budget,
+        )
         stats = self._stats
         stats.windows += 1
         stats.window_steps += k - kw
@@ -1015,8 +858,7 @@ class ReplayPlatform(Platform):
         self.stats = ReplayStats()
         return self._execute(self._run_fast)
 
-    def _make_span(self, jstatic, dirty_reorder, step_energy,
-                   access_amount, hit_amount,
+    def _make_span(self, jstatic, step_energy, access_amount, hit_amount,
                    overhead_leak=None, hit_ovh=None):
         """The quantum-window executor for this run.
 
@@ -1029,10 +871,9 @@ class ReplayPlatform(Platform):
         the policy's threshold only moves on dirty-set events, so the
         window holds the floor static and revokes — forcing a fresh
         decide — on the events themselves instead of on every
-        conservative floor-growth crossing.  Reorder-sensitive
-        estimates (``dirty_reorder``, see
-        ``estimate_reorder_sensitive``) additionally revoke when an LRU
-        promotion reorders dirty lines.
+        conservative floor-growth crossing.  The caller grants it only
+        when LRU promotions cannot move the architecture's backup
+        estimate (``estimate_reorder_sensitive`` False).
         """
         from repro.sim import epochs
 
@@ -1053,15 +894,13 @@ class ReplayPlatform(Platform):
                 use_compiled = False
         if use_compiled:
             span = epochs.make_span(
-                self._image, self.arch, jstatic, dirty_reorder,
-                step_energy, access_amount, hit_amount,
+                self._image, self.arch, jstatic, step_energy, access_amount, hit_amount,
                 overhead_leak, hit_ovh, stats=stats,
             )
             if span is not None:
                 return span
             stats.note_fallback("construction")
         return _SpanState(
-            self._image, self.arch, jstatic, dirty_reorder,
-            step_energy, access_amount, hit_amount,
-            overhead_leak, hit_ovh,
+            self._image, self.arch, jstatic, step_energy,
+            access_amount, hit_amount, overhead_leak, hit_ovh,
         )

@@ -26,6 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import ARCHITECTURES
+from repro.arch.clank import ClankArchitecture
+from repro.cpu.fastcore import inlines_cache_hits
 from repro.energy.traces import HarvestTrace
 from repro.policies import POLICIES
 from repro.policies.task import TaskBoundaryPolicy
@@ -59,7 +61,8 @@ def _outcome(platform):
 
 
 def _compare(bench, config, seed=0):
-    """Reference == fast == scalar replay == compiled replay."""
+    """Reference == fast == scalar replay == compiled replay; returns
+    the non-fast ``(outcome, platform)`` pairs by engine tag."""
     program = load_program(bench)
     image = get_image(bench)
     sim_out, sim = _outcome(
@@ -116,12 +119,47 @@ def _compare(bench, config, seed=0):
             compiled_plat.nvm.committed_checkpoint().get("replay_k")
             == scalar_plat.nvm.committed_checkpoint().get("replay_k")
         )
+    return others
+
+
+#: Architectures whose every access calls the architecture (no inline
+#: cache-hit path): replay gives them no quantum window, because one
+#: that stops at every memory op measured slower than none.
+NO_INLINE_HITS = {"clank_original", "hibernus", "hoop"}
 
 
 @pytest.mark.parametrize("arch", REPLAY_ARCHES)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_replay_matches_simulator_across_matrix(arch, policy):
-    _compare("hist", PlatformConfig(arch=arch, policy=policy))
+    others = _compare("hist", PlatformConfig(arch=arch, policy=policy))
+    if arch in NO_INLINE_HITS:
+        for tag in ("scalar-replay", "compiled-replay"):
+            platform = others[tag][1]
+            assert not inlines_cache_hits(platform.arch), tag
+            assert platform.stats.windows == 0, tag
+
+
+class _ReorderSensitiveClank(ClankArchitecture):
+    """Clank with a backup estimate declared sensitive to LRU order."""
+
+    name = "clank_reorder_sensitive"
+    estimate_reorder_sensitive = True
+
+
+def test_reorder_sensitive_arch_replays_with_growing_floor(monkeypatch):
+    """An inline-hit architecture whose estimate LRU promotions may
+    move gets no static floor under JIT's event-revoked guard, and
+    still replays bit-identically."""
+    name = _ReorderSensitiveClank.name
+    monkeypatch.setitem(ARCHITECTURES, name, _ReorderSensitiveClank)
+    config = PlatformConfig(arch=name, policy="jit")
+    assert POLICIES["jit"].guard_event_revoke
+    others = _compare("hist", config)
+    for tag in ("scalar-replay", "compiled-replay"):
+        platform = others[tag][1]
+        assert inlines_cache_hits(platform.arch), tag
+        assert platform.core._span.jstatic is False, tag
+        assert platform.stats.windows > 0, tag
 
 
 @pytest.mark.parametrize("bench", ["qsort", "dwt"])
@@ -232,7 +270,7 @@ def test_compiled_knob_and_fallback(monkeypatch):
 
     def span_of(platform):
         return platform._make_span(
-            jstatic=True, dirty_reorder=True, step_energy=1.0,
+            jstatic=True, step_energy=1.0,
             access_amount=1.0, hit_amount=3.0,
         )
 
