@@ -38,7 +38,7 @@ artifacts all pick it up from the registry.
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, List, NamedTuple, Optional
 
@@ -134,27 +134,26 @@ def _kwargs_key(kwargs):
         return tuple(sorted((k, repr(v)) for k, v in kwargs.items()))
 
 
+#: PlatformConfig fields that cannot change a completed run's record:
+#: the engine choice (every engine is bit-identical) and the step and
+#: period caps (a run that hits one raises instead of returning).
+_UNKEYED_FIELDS = frozenset({"fast", "max_steps", "max_periods"})
+
+#: Every other field, in declaration order.  Deriving the list keeps a
+#: new PlatformConfig knob from silently sharing cache entries.
+_KEYED_FIELDS = tuple(
+    f.name for f in fields(PlatformConfig) if f.name not in _UNKEYED_FIELDS
+)
+
+
 def _config_key(config):
-    return (
-        config.arch,
-        config.policy,
-        config.nvm_technology,
-        config.capacitor,
-        config.capacitor_energy,
-        config.cache_size,
-        config.cache_assoc,
-        config.block_size,
-        config.gbf_bits,
-        config.mtc_entries,
-        config.mtc_assoc,
-        config.map_table_entries,
-        config.free_list_size,
-        config.free_list_mode,
-        config.reclaim,
-        config.oop_buffer_entries,
-        config.oop_region_slots,
-        config.watchdog_period,
-        _kwargs_key(config.policy_kwargs),
+    """The cache identity of ``config``: every field that can change
+    the result, with ``policy_kwargs`` canonicalised by
+    :func:`_kwargs_key`."""
+    return tuple(
+        _kwargs_key(config.policy_kwargs) if name == "policy_kwargs"
+        else getattr(config, name)
+        for name in _KEYED_FIELDS
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.cpu.core import MemorySystem
 from repro.cpu.state import Checkpoint
 from repro.mem.bloom import GlobalBloomFilter, LocalBloomFilter, WordState
-from repro.mem.cache import _NATIVE_WORDS, WriteBackCache
+from repro.mem.cache import WriteBackCache
 
 #: Local aliases for the hand-inlined hot paths below.
 _UNKNOWN = WordState.UNKNOWN
@@ -214,7 +214,8 @@ class CachedArchitecture(IntermittentArchitecture):
 
     # ------------------------------------------------------ miss path
     def _fetch_block(self, block_addr):  # pragma: no cover - interface
-        """Return ``bytes`` for the block and charge the fetch energy."""
+        """Return the block's words (a fresh list) and charge the fetch
+        energy."""
         raise NotImplementedError
 
     def _handle_dirty_eviction(self, line):  # pragma: no cover - interface
@@ -233,10 +234,8 @@ class CachedArchitecture(IntermittentArchitecture):
                 composite = victim.meta.composite if victim.meta else 0
                 self._charge_forward(self.energy.bloom_access)
                 self.gbf.log_eviction(victim.block_addr, composite)
-        line, evicted = self.cache.allocate(block_addr)
-        assert evicted is None or not evicted.dirty, "victim must be clean"
-        data = self._fetch_block(block_addr)
-        line.data[:] = data
+        line = self.cache.allocate(block_addr)
+        line.words = self._fetch_block(block_addr)
         lbf = LocalBloomFilter(self.words_per_block)
         self._charge_forward(self.energy.bloom_access)
         if self.gbf.was_read_dominated(block_addr):
@@ -289,9 +288,7 @@ class CachedArchitecture(IntermittentArchitecture):
         if states[word] == _UNKNOWN:
             states[word] = _READ
         if size == 4:
-            if _NATIVE_WORDS:
-                return line.words[word], 1
-            return cache.read_word(line, addr), 1
+            return line.words[word], 1
         return cache.read_byte(line, addr), 1
 
     def store(self, addr, value, size):
@@ -329,11 +326,8 @@ class CachedArchitecture(IntermittentArchitecture):
         if states[word] == _UNKNOWN:
             states[word] = _WRITE
         if size == 4:
-            if _NATIVE_WORDS:
-                line.words[word] = value & 0xFFFFFFFF
-                line.dirty = True
-            else:
-                cache.write_word(line, addr, value)
+            line.words[word] = value & 0xFFFFFFFF
+            line.dirty = True
         else:
             cache.write_byte(line, addr, value)
         return 1

@@ -41,7 +41,7 @@ class ClankArchitecture(CachedArchitecture):
             self.backup(BackupReason.VIOLATION)
             return  # line is now clean
         self._charge_forward(self.energy.block_write(self.words_per_block))
-        self.nvm.write_block(line.block_addr, line.data)
+        self.nvm.write_block(line.block_addr, line.words)
         line.dirty = False
 
     def _fetch_block(self, block_addr):
@@ -79,7 +79,7 @@ class ClankArchitecture(CachedArchitecture):
         )
         self.charge("backup", cost)
         for line in dirty:
-            self.nvm.write_block(line.block_addr, line.data)
+            self.nvm.write_block(line.block_addr, line.words)
             line.dirty = False
         self.nvm.commit_checkpoint(self.snapshot_payload())
         self._reset_section_tracking()

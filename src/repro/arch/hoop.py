@@ -95,13 +95,11 @@ class HoopArchitecture(IntermittentArchitecture):
         victim = self.cache.peek_victim(block_addr)
         if victim is not None and victim.valid and victim.dirty:
             self._evict_to_buffer(victim)
-        line, evicted = self.cache.allocate(block_addr)
-        assert evicted is None or not evicted.dirty
-        data = bytearray()
-        for i in range(self.words_per_block):
-            word = self._fetch_word(block_addr + i * _WORD)
-            data += word.to_bytes(_WORD, "little")
-        line.data[:] = data
+        line = self.cache.allocate(block_addr)
+        line.words = [
+            self._fetch_word(block_addr + i * _WORD)
+            for i in range(self.words_per_block)
+        ]
         line.meta = _DirtyMask()
         return line
 
@@ -119,9 +117,8 @@ class HoopArchitecture(IntermittentArchitecture):
             return
         for i in words:
             addr = line.block_addr + i * _WORD
-            value = int.from_bytes(line.data[i * _WORD : (i + 1) * _WORD], "little")
             self.charge("forward", self.energy.cache_access)
-            self.oop_buffer[addr] = value
+            self.oop_buffer[addr] = line.words[i]
         # The words only change place: pending counts are unchanged.
         self._buffer_blocks.add(line.block_addr)
         line.dirty = False
@@ -176,9 +173,7 @@ class HoopArchitecture(IntermittentArchitecture):
             for i in range(self.words_per_block):
                 if mask & (1 << i):
                     addr = line.block_addr + i * _WORD
-                    updates[addr] = int.from_bytes(
-                        line.data[i * _WORD : (i + 1) * _WORD], "little"
-                    )
+                    updates[addr] = line.words[i]
         return updates
 
     @staticmethod

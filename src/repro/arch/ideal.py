@@ -28,7 +28,7 @@ class IdealArchitecture(CachedArchitecture):
         if line.meta is not None and line.meta.composite:
             self.stats.violations += 1
         self.charge("forward", self.energy.block_write(self.words_per_block))
-        self.nvm.write_block(line.block_addr, line.data)
+        self.nvm.write_block(line.block_addr, line.words)
         line.dirty = False
 
     def _fetch_block(self, block_addr):
@@ -61,7 +61,7 @@ class IdealArchitecture(CachedArchitecture):
         )
         self.charge("backup", cost)
         for line in dirty:
-            self.nvm.write_block(line.block_addr, line.data)
+            self.nvm.write_block(line.block_addr, line.words)
             line.dirty = False
         self.nvm.commit_checkpoint(self.snapshot_payload())
         self._reset_section_tracking()

@@ -154,7 +154,7 @@ class NvmrArchitecture(CachedArchitecture):
                     return  # the install's backup already persisted us
             dest = mapping if mapping is not None else tag
         self._charge_forward(self.energy.block_write(self.words_per_block))
-        self.nvm.write_block(dest, line.data)
+        self.nvm.write_block(dest, line.words)
         line.dirty = False
 
     def _rename_and_persist(self, line):
@@ -174,7 +174,7 @@ class NvmrArchitecture(CachedArchitecture):
             # Renamed earlier in this section; the uncommitted mapping
             # is not covered by any checkpoint, so rewriting it is safe.
             self._charge_forward(self.energy.block_write(self.words_per_block))
-            self.nvm.write_block(entry.new, line.data)
+            self.nvm.write_block(entry.new, line.words)
             line.dirty = False
             return
 
@@ -193,7 +193,7 @@ class NvmrArchitecture(CachedArchitecture):
                 self._mtc_dirty_reserved += 1
             self.stats.renames += 1
             self._charge_forward(self.energy.block_write(self.words_per_block))
-            self.nvm.write_block(new, line.data)
+            self.nvm.write_block(new, line.words)
             line.dirty = False
             return
 
@@ -230,7 +230,7 @@ class NvmrArchitecture(CachedArchitecture):
             self._pending_new += 1
         self.stats.renames += 1
         self._charge_forward(self.energy.block_write(self.words_per_block))
-        self.nvm.write_block(new, line.data)
+        self.nvm.write_block(new, line.words)
         line.dirty = False
 
     # ------------------------------------------------------- reclaim
@@ -391,7 +391,7 @@ class NvmrArchitecture(CachedArchitecture):
         self.charge("backup", data_cost)
         self.charge("backup_overhead", overhead)
         for line, dest in destinations:
-            self.nvm.write_block(dest, line.data)
+            self.nvm.write_block(dest, line.words)
             line.dirty = False
         for entry in dirty_entries:
             self.map_table.commit(entry.tag, entry.new)

@@ -36,7 +36,6 @@ from repro.cpu.core import Core, ExecutionError, _ALU_IMM, _ALU_REG
 from repro.isa.instructions import Opcode, TAKEN_BRANCH_PENALTY, base_cycles
 from repro.isa.registers import LR
 from repro.mem.bloom import WordState
-from repro.mem.cache import _NATIVE_WORDS
 
 _MASK32 = 0xFFFFFFFF
 _UNKNOWN = WordState.UNKNOWN
@@ -570,16 +569,15 @@ def inlines_cache_hits(memory):
     hit path inline instead of calling ``memory.load``/``store``.
 
     Only when the memory system uses the stock CachedArchitecture
-    load/store (no subclass override), the host reads cache words
-    natively, and the set count is a power of two (the inlined path
-    uses the shift/mask geometry).  Everything else keeps the generic
-    call-out form.  A trace replayer inlines under the same predicate.
+    load/store (no subclass override) and the set count is a power of
+    two (the inlined path uses the shift/mask geometry).  Everything
+    else keeps the generic call-out form.  A trace replayer inlines
+    under the same predicate.
     """
     from repro.arch.base import CachedArchitecture
 
     return bool(
-        _NATIVE_WORDS
-        and isinstance(memory, CachedArchitecture)
+        isinstance(memory, CachedArchitecture)
         and type(memory).load is CachedArchitecture.load
         and type(memory).store is CachedArchitecture.store
         and memory._set_geom[2] is not None

@@ -7,36 +7,30 @@ blocks are persisted (evictions and backups).
 
 Replacement policy decisions (victim choice) live here; *handling* the
 victim (violation detection, renaming, the actual NVM write-back) is the
-architecture's job, so :meth:`WriteBackCache.allocate` hands the victim
-line back to the caller before reusing it.
+architecture's job: it finds the victim with
+:meth:`WriteBackCache.peek_victim` and cleans it while it is still
+resident, and only then does :meth:`WriteBackCache.allocate` reuse it.
 """
-
-import sys
-
-#: Word I/O goes through a zero-copy ``memoryview("I")`` over the line's
-#: backing bytearray when the host is little-endian (matching the
-#: simulated machine); big-endian hosts fall back to explicit
-#: ``int.from_bytes`` conversions.
-_NATIVE_WORDS = sys.byteorder == "little"
 
 
 class CacheLine:
     """One cache line.
 
-    ``meta`` is reserved for the owning architecture (the intermittent
-    architectures hang the line's LBF off it).  ``words`` aliases
-    ``data`` as host-order uint32s and must be refreshed whenever
-    ``data`` is rebound to a new buffer.
+    ``words`` is the line's contents: a list of ``words_per_block`` u32
+    ints, filled and written back as is (no byte encoding).  Byte
+    accesses are shift/mask on the containing word, byte ``i`` of a
+    word in bits ``8*i .. 8*i+7`` — little-endian lanes, like the
+    simulated ISA.  ``meta`` is reserved for the owning architecture
+    (the intermittent architectures hang the line's LBF off it).
     """
 
-    __slots__ = ("valid", "dirty", "block_addr", "data", "words", "meta")
+    __slots__ = ("valid", "dirty", "block_addr", "words", "meta")
 
     def __init__(self, block_size):
         self.valid = False
         self.dirty = False
         self.block_addr = 0
-        self.data = bytearray(block_size)
-        self.words = memoryview(self.data).cast("I") if _NATIVE_WORDS else None
+        self.words = [0] * (block_size // 4)
         self.meta = None
 
     def invalidate(self):
@@ -114,16 +108,15 @@ class WriteBackCache:
         return lines[-1]
 
     def allocate(self, block_addr):
-        """Claim a line for ``block_addr``.
+        """Claim a line for ``block_addr`` and return it.
 
-        Returns ``(line, victim)`` where ``victim`` is a *detached*
-        snapshot-line of the evicted block (or None if a line was free).
-        The caller must write back / rename the victim as needed, then
-        fill ``line.data`` and set its metadata.  The returned ``line``
-        is already installed at the MRU position, valid, clean.
+        The displaced line (if the set is full) must already be clean:
+        the caller resolves it through :meth:`peek_victim` first.  The
+        caller then binds ``line.words`` to the block's contents and
+        sets its metadata.  The returned line is already installed at
+        the MRU position, valid, clean.
         """
         lines = self._set_for(block_addr)
-        victim = None
         index = None
         for i, line in enumerate(lines):
             if not line.valid:
@@ -131,19 +124,7 @@ class WriteBackCache:
                 break
         if index is None:
             index = len(lines) - 1  # true LRU: last in recency order
-            old = lines[index]
-            # Built via __new__: CacheLine.__init__ would allocate (and
-            # cast) a backing buffer that is immediately replaced by the
-            # snapshot copy below.
-            victim = CacheLine.__new__(CacheLine)
-            victim.valid = True
-            victim.dirty = old.dirty
-            victim.block_addr = old.block_addr
-            victim.data = bytearray(old.data)
-            victim.words = (
-                memoryview(victim.data).cast("I") if _NATIVE_WORDS else None
-            )
-            victim.meta = old.meta
+            assert not lines[index].dirty, "victim must be clean"
             self.evictions += 1
         line = lines.pop(index)
         line.valid = True
@@ -151,34 +132,25 @@ class WriteBackCache:
         line.block_addr = block_addr
         line.meta = None
         lines.insert(0, line)
-        return line, victim
+        return line
 
     # ------------------------------------------------------- word I/O
-    if _NATIVE_WORDS:
+    def read_word(self, line, addr):
+        return line.words[(addr & (self.block_size - 1)) >> 2]
 
-        def read_word(self, line, addr):
-            return line.words[(addr & (self.block_size - 1)) >> 2]
-
-        def write_word(self, line, addr, value):
-            line.words[(addr & (self.block_size - 1)) >> 2] = value & 0xFFFFFFFF
-            line.dirty = True
-
-    else:
-
-        def read_word(self, line, addr):
-            offset = addr & (self.block_size - 1) & ~3
-            return int.from_bytes(line.data[offset : offset + 4], "little")
-
-        def write_word(self, line, addr, value):
-            offset = addr & (self.block_size - 1) & ~3
-            line.data[offset : offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-            line.dirty = True
+    def write_word(self, line, addr, value):
+        line.words[(addr & (self.block_size - 1)) >> 2] = value & 0xFFFFFFFF
+        line.dirty = True
 
     def read_byte(self, line, addr):
-        return line.data[addr & (self.block_size - 1)]
+        word = line.words[(addr & (self.block_size - 1)) >> 2]
+        return (word >> ((addr & 3) << 3)) & 0xFF
 
     def write_byte(self, line, addr, value):
-        line.data[addr & (self.block_size - 1)] = value & 0xFF
+        words = line.words
+        index = (addr & (self.block_size - 1)) >> 2
+        shift = (addr & 3) << 3
+        words[index] = (words[index] & ~(0xFF << shift)) | ((value & 0xFF) << shift)
         line.dirty = True
 
     # ----------------------------------------------------------- bulk

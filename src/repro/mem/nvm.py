@@ -14,7 +14,7 @@ The model tracks, per word:
 
 Energy is charged by the caller (the architecture knows whether an
 access is forward progress, backup, or renaming overhead); the flash
-itself only stores bytes and counts events.
+itself only stores words and counts events.
 """
 
 from repro.isa.registers import u32
@@ -97,52 +97,39 @@ class NvmFlash:
     # Blocks are the architectures' unit of cache fill and write-back —
     # the hottest NVM entry points by far — so both methods batch the
     # bounds check and the access counters instead of delegating to the
-    # per-word accessors (the stored words, counts and returned bytes
-    # are identical).  Harnesses that instrument per-word traffic by
-    # rebinding ``read_word``/``write_word`` on an *instance* still see
-    # every block access: the batched paths defer to an instance
-    # override when one is installed.
+    # per-word accessors (the stored words and counts are identical).
+    # A block travels as a list of u32 words, the same representation
+    # as a cache line's ``words``: a fill returns a fresh list the line
+    # keeps, and a write-back stores the line's words as they are.
     def read_block(self, addr, block_size):
-        """Read ``block_size`` bytes (aligned), counting word reads."""
+        """Read ``block_size`` bytes (aligned) as a fresh list of words,
+        counting word reads."""
         words = block_size // WORD
-        if "read_word" in self.__dict__:
-            return b"".join(
-                self.read_word(addr + i * WORD).to_bytes(WORD, "little")
-                for i in range(words)
-            )
         self._check(addr)
         if words > 1:
             self._check(addr + block_size - WORD)
         self.reads += words
         base = addr & _WORD_MASK
         get = self._words.get
-        return b"".join(
-            get(base + i * WORD, 0).to_bytes(WORD, "little")
-            for i in range(words)
-        )
+        return [get(a, 0) for a in range(base, base + block_size, WORD)]
 
-    def write_block(self, addr, data):
-        """Write ``data`` (word multiple, aligned), counting word writes."""
-        length = len(data)
-        if not length:
-            return
-        if "write_word" in self.__dict__:
-            for i in range(0, length, WORD):
-                self.write_word(
-                    addr + i, int.from_bytes(data[i : i + WORD], "little")
-                )
+    def write_block(self, addr, words):
+        """Write the u32 ``words`` (aligned), counting word writes."""
+        count = len(words)
+        if not count:
             return
         self._check(addr)
-        if length > WORD:
-            self._check(addr + length - WORD)
-        self.writes += length // WORD
-        words = self._words
+        if count > 1:
+            self._check(addr + (count - 1) * WORD)
+        self.writes += count
+        stored = self._words
         counts = self.write_counts
         counts_get = counts.get
-        for i in range(0, length, WORD):
-            aligned = (addr + i) & _WORD_MASK
+        aligned = addr & _WORD_MASK
+        for value in words:
             counts[aligned] = counts_get(aligned, 0) + 1
-            words[aligned] = int.from_bytes(data[i : i + WORD], "little")
+            stored[aligned] = value
+            aligned += WORD
 
     # ------------------------------------------------------ checkpoints
     def commit_checkpoint(self, payload):

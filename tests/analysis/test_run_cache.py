@@ -1,5 +1,6 @@
 """The persistent on-disk run cache: hits, misses and invalidation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -56,6 +57,47 @@ def test_config_change_misses():
     # Trace seed is part of the key too.
     cached_run(BENCH, CONFIG, SEED + 1)
     assert len(_entries()) == 3
+
+
+#: The PlatformConfig fields a completed run's record cannot depend on.
+UNKEYED = {"fast", "max_steps", "max_periods"}
+
+
+def _other_value(value):
+    """A value of the same kind as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "_other"
+    if isinstance(value, dict):
+        return {"margin": 0.5}
+    assert value is None
+    return 7
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f.name for f in dataclasses.fields(PlatformConfig) if f.name not in UNKEYED],
+)
+def test_every_result_field_is_in_the_key(name):
+    changed = dataclasses.replace(
+        CONFIG, **{name: _other_value(getattr(CONFIG, name))}
+    )
+    key = _config_key(changed)
+    assert key != _config_key(CONFIG)
+    assert runcache.entry_key(BENCH, key, SEED) != runcache.entry_key(
+        BENCH, _config_key(CONFIG), SEED
+    )
+
+
+@pytest.mark.parametrize("name", sorted(UNKEYED))
+def test_unkeyed_fields_share_the_entry(name):
+    changed = dataclasses.replace(
+        CONFIG, **{name: _other_value(getattr(CONFIG, name))}
+    )
+    assert _config_key(changed) == _config_key(CONFIG)
 
 
 def test_program_edit_invalidates():

@@ -35,8 +35,8 @@ def test_block_address_and_word_index():
 def test_miss_then_hit():
     cache = make_cache()
     assert cache.lookup(0x100) is None
-    line, victim = cache.allocate(0x100)
-    assert victim is None
+    assert cache.peek_victim(0x100) is None
+    line = cache.allocate(0x100)
     assert cache.lookup(0x100) is line
     assert cache.hits == 1 and cache.misses == 1
 
@@ -47,9 +47,13 @@ def test_lru_eviction_order():
     cache.allocate(0x00)
     cache.allocate(0x40)
     cache.lookup(0x00)  # make 0x00 MRU
-    assert cache.peek_victim(0x80).block_addr == 0x40
-    line, victim = cache.allocate(0x80)
+    victim = cache.peek_victim(0x80)
     assert victim.block_addr == 0x40
+    line = cache.allocate(0x80)
+    assert line is victim  # the LRU way is reused for the new block
+    assert cache.evictions == 1
+    assert cache.peek(0x40) is None and cache.peek(0x00) is not None
+    assert cache.peek(0x80) is line and line.block_addr == 0x80
 
 
 def test_peek_victim_none_when_free_way():
@@ -60,29 +64,47 @@ def test_peek_victim_none_when_free_way():
 
 def test_victim_carries_dirty_data():
     cache = make_cache(size_bytes=32, assoc=1, block_size=16)
-    line, _ = cache.allocate(0x00)
+    line = cache.allocate(0x00)
     cache.write_word(line, 0x4, 0xABCD)
     assert line.dirty
-    _, victim = cache.allocate(0x40)  # same set, evicts 0x00
+    victim = cache.peek_victim(0x40)  # same set: 0x00 would be evicted
+    assert victim is line
     assert victim.dirty
     assert victim.block_addr == 0x00
     assert cache.read_word(victim, 0x4) == 0xABCD
 
 
+def test_allocate_requires_clean_victim():
+    cache = make_cache(size_bytes=32, assoc=1, block_size=16)
+    line = cache.allocate(0x00)
+    cache.write_word(line, 0x4, 0xABCD)
+    with pytest.raises(AssertionError, match="victim must be clean"):
+        cache.allocate(0x40)
+    line.dirty = False  # written back by the caller
+    assert cache.allocate(0x40) is line
+    assert line.block_addr == 0x40 and not line.dirty
+
+
 def test_word_and_byte_io():
     cache = make_cache()
-    line, _ = cache.allocate(0x100)
+    line = cache.allocate(0x100)
     cache.write_word(line, 0x104, 0x11223344)
     assert cache.read_word(line, 0x104) == 0x11223344
     assert cache.read_byte(line, 0x105) == 0x33
+    # Little-endian byte lanes: byte i of a word is bits 8*i .. 8*i+7.
+    assert [cache.read_byte(line, 0x104 + i) for i in range(4)] == [
+        0x44, 0x33, 0x22, 0x11,
+    ]
     cache.write_byte(line, 0x106, 0xEE)
     assert cache.read_word(line, 0x104) == 0x11EE3344
+    cache.write_byte(line, 0x107, 0x1FF)  # only the low byte is kept
+    assert line.words == [0, 0xFFEE3344, 0, 0]
 
 
 def test_dirty_lines_listing():
     cache = make_cache()
-    a, _ = cache.allocate(0x00)
-    b, _ = cache.allocate(0x10)
+    a = cache.allocate(0x00)
+    b = cache.allocate(0x10)
     cache.write_word(b, 0x10, 5)
     dirty = cache.dirty_lines()
     assert dirty == [b]
@@ -91,7 +113,7 @@ def test_dirty_lines_listing():
 
 def test_clear_invalidates_everything():
     cache = make_cache()
-    line, _ = cache.allocate(0x00)
+    line = cache.allocate(0x00)
     cache.write_word(line, 0x0, 1)
     cache.clear()
     assert cache.lookup(0x00) is None
@@ -100,10 +122,10 @@ def test_clear_invalidates_everything():
 
 def test_meta_reset_on_allocate():
     cache = make_cache()
-    line, _ = cache.allocate(0x00)
+    line = cache.allocate(0x00)
     line.meta = "tracking"
     cache.clear()
-    line2, _ = cache.allocate(0x00)
+    line2 = cache.allocate(0x00)
     assert line2.meta is None
 
 
@@ -126,7 +148,6 @@ def test_cache_with_writeback_equals_flat_memory(ops):
     shadow = {}
 
     def fetch(block_addr):
-        line, victim = None, None
         peek = cache.peek_victim(block_addr)
         if peek is not None and peek.valid and peek.dirty:
             for i in range(4):
@@ -134,7 +155,8 @@ def test_cache_with_writeback_equals_flat_memory(ops):
                     peek, peek.block_addr + 4 * i
                 )
             peek.dirty = False
-        line, victim = cache.allocate(block_addr)
+        line = cache.allocate(block_addr)
+        assert peek is None or line is peek
         for i in range(4):
             cache.write_word(line, block_addr + 4 * i, backing.get(block_addr + 4 * i, 0))
         line.dirty = False

@@ -67,11 +67,26 @@ def test_load_image_and_peek_bytes(flash):
 
 
 def test_block_io(flash):
-    data = bytes(range(16))
-    flash.write_block(0x80, data)
-    assert flash.read_block(0x80, 16) == data
+    words = [0x03020100, 0x07060504, 0x0B0A0908, 0x0F0E0D0C]
+    flash.write_block(0x80, words)
+    block = flash.read_block(0x80, 16)
+    assert block == words
+    assert block is not words  # a fill gets its own list
     assert flash.writes == 4
     assert flash.reads == 4
+    assert flash.write_counts == {0x80: 1, 0x84: 1, 0x88: 1, 0x8C: 1}
+    # Words are stored with little-endian byte lanes.
+    assert flash.peek_bytes(0x80, 16) == bytes(range(16))
+    assert flash.peek_word(0x8C) == 0x0F0E0D0C
+
+
+def test_block_io_bounds(flash):
+    with pytest.raises(ValueError):
+        flash.read_block(flash.size - 8, 16)
+    with pytest.raises(ValueError):
+        flash.write_block(flash.size - 8, [1, 2, 3, 4])
+    flash.write_block(0, [])
+    assert flash.writes == 0 and flash.reads == 0
 
 
 def test_checkpoint_slot(flash):

@@ -32,18 +32,29 @@ ADDRESSES = {name: BASE + i * 32 for i, name in enumerate(SYMBOLS)}
 
 
 class WriteRecorder:
-    """Wraps an NVM to log every word write with a logical timestamp."""
+    """Wraps an NVM to log every word write with a logical timestamp.
+
+    Both write entry points are wrapped: single words and whole blocks
+    (one log entry per word of the block).
+    """
 
     def __init__(self, nvm):
         self.nvm = nvm
         self.log = []  # (time, word_addr)
         self.time = 0
-        self._original = nvm.write_word
+        self._write_word_original = nvm.write_word
+        self._write_block_original = nvm.write_block
         nvm.write_word = self._write_word
+        nvm.write_block = self._write_block
 
     def _write_word(self, addr, value):
         self.log.append((self.time, addr & ~3))
-        self._original(addr, value)
+        self._write_word_original(addr, value)
+
+    def _write_block(self, addr, words):
+        for i in range(len(words)):
+            self.log.append((self.time, (addr + 4 * i) & ~3))
+        self._write_block_original(addr, words)
 
     def tick(self):
         self.time += 1
