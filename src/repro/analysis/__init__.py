@@ -1,13 +1,12 @@
-"""Experiment engine, drivers and reporting for the paper's results.
+"""Experiment engine, specs and reporting for the paper's results.
 
 One registry (:data:`repro.analysis.engine.EXPERIMENTS`) declares
 every table and figure of the evaluation as an
 :class:`~repro.analysis.engine.ExperimentSpec`; the engine derives job
 enumeration, parallel execution, sharding, caching and JSON artifacts
 from it, and :mod:`repro.analysis.render` renders results as the text
-tables recorded in EXPERIMENTS.md.  The historical per-experiment
-driver functions (``fig10_backup_schemes`` et al.) remain available as
-thin wrappers over the specs.
+tables recorded in EXPERIMENTS.md.  :func:`run_experiment` (the
+``repro experiment`` command) is the one way to run an experiment.
 """
 
 from repro.analysis.engine import (
@@ -23,27 +22,7 @@ from repro.analysis.engine import (
     render_artifact,
     run_experiment,
 )
-from repro.analysis.experiments import (
-    ablation_cache_size,
-    ablation_free_list_discipline,
-    ablation_gbf_bits,
-    extension_nvm_technology,
-    extension_taxonomy,
-    fig10_backup_schemes,
-    fig10_with_variance,
-    fig11_energy_breakdown,
-    fig12_hoop,
-    fig13a_mtc_size,
-    fig13b_mtc_assoc,
-    fig13c_map_table,
-    fig13d_capacitor,
-    fig14_reclaim,
-    footnote6_original_clank,
-    overheads_study,
-    table2_configuration,
-    table3_violations,
-    table4_hoop_configuration,
-)
+from repro.analysis.experiments import table2_configuration, table4_hoop_configuration
 from repro.analysis.pareto import (
     bootstrap_ci,
     cohens_d,
@@ -72,9 +51,6 @@ __all__ = [
     "ExperimentSettings",
     "ExperimentSpec",
     "Job",
-    "ablation_cache_size",
-    "ablation_free_list_discipline",
-    "ablation_gbf_bits",
     "all_experiments",
     "bootstrap_ci",
     "cached_run",
@@ -84,26 +60,13 @@ __all__ = [
     "dominates",
     "pareto_front",
     "policy_candidates",
-    "extension_nvm_technology",
-    "extension_taxonomy",
-    "fig10_backup_schemes",
-    "fig10_with_variance",
-    "fig11_energy_breakdown",
-    "fig12_hoop",
-    "fig13a_mtc_size",
-    "fig13b_mtc_assoc",
-    "fig13c_map_table",
-    "fig13d_capacitor",
-    "fig14_reclaim",
     "format_breakdowns",
     "format_mapping",
     "format_matrix",
     "format_series",
-    "footnote6_original_clank",
     "generate_report",
     "get_experiment",
     "load_artifact",
-    "overheads_study",
     "render_artifact",
     "render_timeline",
     "report_progress",
@@ -111,7 +74,6 @@ __all__ = [
     "gini_coefficient",
     "set_progress_handler",
     "table2_configuration",
-    "table3_violations",
     "table4_hoop_configuration",
     "wear_comparison",
     "write_report",

@@ -134,10 +134,11 @@ def _kwargs_key(kwargs):
         return tuple(sorted((k, repr(v)) for k, v in kwargs.items()))
 
 
-#: PlatformConfig fields that cannot change a completed run's record:
-#: the engine choice (every engine is bit-identical) and the step and
-#: period caps (a run that hits one raises instead of returning).
-_UNKEYED_FIELDS = frozenset({"fast", "max_steps", "max_periods"})
+#: PlatformConfig fields that cannot change a run's outcome: the engine
+#: choice (every engine is bit-identical).  The step and period caps are
+#: keyed: a capped run raises where an uncapped one returns, so they
+#: must not share an entry.
+_UNKEYED_FIELDS = frozenset({"fast"})
 
 #: Every other field, in declaration order.  Deriving the list keeps a
 #: new PlatformConfig knob from silently sharing cache entries.
@@ -258,11 +259,6 @@ class ExperimentSpec:
         """The deduplicated, deterministically ordered job list."""
         settings = settings or ExperimentSettings.default()
         return [job for _key, job in _dedup_jobs(self.grid(settings))]
-
-    def compute(self, settings=None, fetch=None):
-        """Run the reduce serially (legacy-driver entry point)."""
-        settings = settings or ExperimentSettings.default()
-        return self.reduce(settings, fetch or cached_run)
 
 
 # ------------------------------------------------------------ registry

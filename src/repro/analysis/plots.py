@@ -6,9 +6,9 @@ is a pure *view*: no simulation, just matplotlib over an artifact
 document — the renderer the tuning study was missing.
 
 matplotlib is an **optional** dependency: when it is not importable,
-:func:`write_pareto_plot` returns ``None`` and the callers (the CLI
-``experiment`` verb and the ``bench_pareto`` harness) simply skip the
-figure — text tables and JSON artifacts are unaffected.
+:func:`write_pareto_plot` returns ``None`` and its caller (the CLI
+``experiment`` verb) simply skips the figure — text tables and JSON
+artifacts are unaffected.
 
 Figure layout: one panel per NVM technology; every candidate threshold
 is a point in (forward-progress kcycles, energy uJ) space with its

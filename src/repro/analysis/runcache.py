@@ -1,8 +1,8 @@
 """Persistent on-disk run cache — the ``runs`` view of the unified store.
 
-The in-process run cache in :mod:`repro.analysis.experiments` already
-shares simulations between drivers, but it dies with the process: every
-benchmark script, notebook restart and CI job pays for the same
+The in-process run cache in :mod:`repro.analysis.engine` already
+shares simulations between experiments, but it dies with the process:
+every experiment run, notebook restart and CI job pays for the same
 (benchmark, config, trace) simulations again.  This module persists
 each :class:`~repro.sim.results.RunResult` as one small JSON file so
 reruns with unchanged inputs perform zero fresh simulations.
@@ -22,7 +22,7 @@ unchanged, so the key digests four components:
 * the **program content** — SHA-256 of the benchmark's mini-C source
   text (editing a workload invalidates only that workload's entries);
 * the **full configuration key** — the same
-  :func:`~repro.analysis.experiments._config_key` tuple the in-process
+  :func:`~repro.analysis.engine._config_key` tuple the in-process
   cache uses (every architectural and policy knob);
 * the **trace seed** — the synthetic harvest trace is derived
   deterministically from it;

@@ -15,7 +15,7 @@ Subcommands
     (``--all`` for everything, ``--workers N`` for process-parallel
     simulation, ``--shard K/N`` to split a sweep across invocations
     sharing a run cache, ``--artifacts DIR`` for versioned JSON
-    results).
+    results, each with its rendered ``<id>.txt`` beside it).
 ``verify-fuzz``
     Crash-consistency fuzzing: seeded random programs under adversarial
     power-failure schedules, checked by architectural invariant oracles;
@@ -280,6 +280,8 @@ def _cmd_experiment(args):
                 continue
             print(run.rendered)
             if run.artifact_path is not None:
+                run.artifact_path.with_suffix(".txt").write_text(
+                    run.rendered + "\n")
                 print(f"[artifact: {run.artifact_path}]")
                 if name.startswith("pareto"):
                     # The front renderer is a pure view over the
@@ -444,7 +446,8 @@ def build_parser():
                             "slices; the invocation that finds every other "
                             "slice in the shared run cache reduces")
     p_exp.add_argument("--artifacts", metavar="DIR", default=None,
-                       help="write versioned JSON result artifacts to DIR "
+                       help="write versioned JSON result artifacts, and "
+                            "the rendered <id>.txt beside each, to DIR "
                             "(e.g. benchmarks/results)")
     p_exp.add_argument("--progress", action="store_true",
                        help="print per-run progress lines to stderr")

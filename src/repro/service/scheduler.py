@@ -227,8 +227,7 @@ class Scheduler:
         ``on_event(event)`` fires a :class:`ProgressEvent` after every
         completed unit of work (and per trace recording).
         """
-        from repro.analysis import experiments as exp
-        from repro.analysis import runcache
+        from repro.analysis import engine, runcache
 
         with self._lock:
             self.runs += 1
@@ -238,8 +237,8 @@ class Scheduler:
         pending = []
         seen = set()
         for benchmark, config, seed in jobs:
-            key = (benchmark, exp._config_key(config), seed)
-            if key in exp._run_cache or key in seen:
+            key = (benchmark, engine._config_key(config), seed)
+            if key in engine._run_cache or key in seen:
                 continue
             seen.add(key)
             pending.append((key, (benchmark, config, seed)))
@@ -279,7 +278,7 @@ class Scheduler:
                 benchmark, _config, seed = job
                 result = runcache.fetch(benchmark, key[1], seed)
                 if result is not None:
-                    exp._run_cache[key] = result
+                    engine._run_cache[key] = result
                     _release(key)
                     done += 1
                     with self._lock:
@@ -301,7 +300,7 @@ class Scheduler:
                 def _finish(key, job, result):
                     nonlocal done, executed
                     benchmark, _config, seed = job
-                    exp._run_cache[key] = result
+                    engine._run_cache[key] = result
                     runcache.store(benchmark, key[1], seed, result)
                     _release(key)
                     done += 1
@@ -359,7 +358,7 @@ class Scheduler:
         # Adopt results of borrowed jobs once their owners finish.
         for key, job, holder in borrowed:
             holder.wait(self.DEDUP_WAIT_SECONDS)
-            if key not in exp._run_cache:
+            if key not in engine._run_cache:
                 benchmark, _config, seed = job
                 result = runcache.fetch(benchmark, key[1], seed)
                 if result is None:  # owner died: execute it ourselves
@@ -368,7 +367,7 @@ class Scheduler:
                     executed += 1
                     with self._lock:
                         self.executed += 1
-                exp._run_cache[key] = result
+                engine._run_cache[key] = result
             done += 1
             _tick("dedup", _describe(job))
         return executed

@@ -180,28 +180,6 @@ def test_load_artifact_rejects_foreign_documents(tmp_path):
         load_artifact(path)
 
 
-# ------------------------------------------- engine vs legacy drivers
-def test_engine_matches_legacy_fig10():
-    from repro.analysis import fig10_backup_schemes
-
-    run = run_experiment("fig10", settings=SMOKE, workers=1)
-    assert run.result == fig10_backup_schemes(SMOKE)
-
-
-def test_engine_matches_legacy_fig13a():
-    from repro.analysis import fig13a_mtc_size
-
-    run = run_experiment("fig13a", settings=SMOKE, workers=1)
-    assert run.result == fig13a_mtc_size(SMOKE)
-
-
-def test_engine_matches_legacy_fig14():
-    from repro.analysis import fig14_reclaim
-
-    run = run_experiment("fig14", settings=SMOKE, workers=1)
-    assert run.result == fig14_reclaim(SMOKE)
-
-
 # ------------------------------------------------------------ run shape
 def test_run_experiment_accepts_spec_instances():
     from repro.analysis.experiments import fig10_spec

@@ -1,31 +1,40 @@
-"""Experiment drivers: smoke runs and reporting formats."""
+"""Experiment specs: smoke runs and reporting formats."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
     ExperimentSettings,
-    fig10_backup_schemes,
-    fig12_hoop,
-    fig14_reclaim,
     format_breakdowns,
     format_mapping,
     format_matrix,
     format_series,
-    overheads_study,
+    run_experiment,
     table2_configuration,
-    table3_violations,
     table4_hoop_configuration,
 )
+from repro.analysis.engine import SWEEP_BENCHMARKS, cached_run, clear_run_cache
 from repro.analysis.experiments import (
-    cached_run,
-    clear_run_cache,
     fig10_spec,
-    fig11_energy_breakdown,
+    fig12_spec,
+    fig13a_spec,
+    fig13d_spec,
+    fig14_spec,
 )
 from repro.arch.base import BackupReason
 from repro.sim.platform import PlatformConfig
 
 SMOKE = ExperimentSettings.smoke()
+FIG14_SMALL_TABLE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "results" / "fig14_small_table.txt"
+)
+
+
+def _result(experiment, settings=SMOKE):
+    """The reduced result of a registered id or a spec instance."""
+    return run_experiment(experiment, settings, workers=1).result
 
 
 def test_table2_lists_paper_structures():
@@ -46,13 +55,13 @@ def test_table4_hoop_structures():
 
 
 def test_table3_counts_violations():
-    counts = table3_violations(SMOKE)
+    counts = _result("table3")
     assert set(counts) == set(SMOKE.benchmarks)
     assert counts["qsort"] > 0
 
 
 def test_fig10_smoke_has_average():
-    results = fig10_backup_schemes(SMOKE, policies=("jit",))
+    results = _result(fig10_spec(policies=("jit",)))
     assert "average" in results["jit"]
     assert set(SMOKE.benchmarks) <= set(results["jit"])
     # qsort is violation-heavy: NvMR must save energy under JIT.
@@ -72,30 +81,46 @@ def test_fig10_nvmr_never_backs_up_for_a_violation():
 def test_fig12_nvmr_saves_energy_over_hoop_under_jit():
     """Paper Fig. 12: NvMR uses less energy than HOOP under JIT.
     (Watchdog is not pinned: at smoke scale its average is near zero.)"""
-    results = fig12_hoop(SMOKE, policies=("jit",))
+    results = _result(fig12_spec(policies=("jit",)))
     assert results["jit"]["average"] > 0
 
 
 def test_fig11_breakdowns_normalised_to_clank():
-    out = fig11_energy_breakdown(ExperimentSettings.smoke())
+    out = _result("fig11")
     for bench, per_arch in out.items():
         clank_total = sum(per_arch["clank"].values())
         assert clank_total == pytest.approx(1.0)
         assert sum(per_arch["nvmr"].values()) > 0
 
 
-def test_fig14_reclaim_shape():
-    out = fig14_reclaim(ExperimentSettings.smoke())
+def test_fig14_spec_shape():
+    out = _result("fig14")
     assert "average" in out
     assert set(out["qsort"]) == {"reclaim", "no_reclaim"}
 
 
 def test_overheads_study_fields():
-    out = overheads_study(SMOKE)
+    out = _result("overheads")
     assert 0 < out["mtc_area_overhead_percent"] < 15
     assert 0 < out["reserved_region_percent_of_flash"] < 10
     assert out["backup_reduction_factor"] > 1
     assert out["max_wear_reduction_percent"] > 0
+
+
+def test_fig14_small_table_regenerates_committed_text():
+    """Section 6.4's 1024-entry study, scaled to a map table small
+    enough (64 entries) to fill under our scaled working sets: when the
+    table fills, reclaiming must win clearly.  It is an unregistered
+    variant of the fig14 spec, regenerated here at default scale over
+    the sweep benchmarks; its text is committed as
+    ``benchmarks/results/fig14_small_table.txt``."""
+    settings = ExperimentSettings(
+        benchmarks=list(SWEEP_BENCHMARKS),
+        sweep_benchmarks=list(SWEEP_BENCHMARKS),
+    )
+    run = run_experiment(fig14_spec(map_table_entries=64), settings, workers=1)
+    assert run.result["average"]["reclaim"] > run.result["average"]["no_reclaim"]
+    assert run.rendered + "\n" == FIG14_SMALL_TABLE.read_text()
 
 
 def test_cached_run_reuses_results():
@@ -148,33 +173,28 @@ def test_generate_report_restricted_sections():
 
 
 def test_extension_nvm_technology_shape():
-    from repro.analysis import extension_nvm_technology
-
-    out = extension_nvm_technology(
-        ExperimentSettings(sweep_benchmarks=["qsort"], sweep_traces=1)
+    out = _result(
+        "ext_fram",
+        ExperimentSettings(sweep_benchmarks=["qsort"], sweep_traces=1),
     )
     assert out["flash"] > out["fram"]
 
 
 def test_fig10_with_variance_fields():
-    from repro.analysis import fig10_with_variance
-
-    out = fig10_with_variance(ExperimentSettings.smoke())
+    out = _result("fig10_variance")
     for bench, stats in out.items():
         assert set(stats) == {"mean", "std"}
         assert stats["std"] >= 0.0
 
 
 def test_fig13a_and_13d_smoke():
-    from repro.analysis import fig13a_mtc_size, fig13d_capacitor
-
     small = ExperimentSettings(
         traces=1, sweep_traces=1,
         benchmarks=["qsort"], sweep_benchmarks=["qsort"],
     )
-    sizes = fig13a_mtc_size(small, sizes=(32, 512))
+    sizes = _result(fig13a_spec(sizes=(32, 512)), small)
     assert set(sizes) == {32, 512}
-    caps = fig13d_capacitor(small, presets=("500uF", "100mF"))
+    caps = _result(fig13d_spec(presets=("500uF", "100mF")), small)
     # Bigger capacitor -> longer sections -> more savings (Fig 13d).
     assert caps["100mF"] > caps["500uF"]
 

@@ -7,9 +7,9 @@ import pytest
 
 import repro
 from repro.analysis import runcache
-from repro.analysis.experiments import _config_key, _run_cache, cached_run, clear_run_cache
+from repro.analysis.engine import _config_key, _run_cache, cached_run, clear_run_cache
 from repro.analysis.parallel import prefetch_runs
-from repro.sim.platform import PlatformConfig
+from repro.sim.platform import PlatformConfig, SimulationError
 from repro.workloads import register_workload, unregister_workload
 
 BENCH = "hist"
@@ -59,8 +59,10 @@ def test_config_change_misses():
     assert len(_entries()) == 3
 
 
-#: The PlatformConfig fields a completed run's record cannot depend on.
-UNKEYED = {"fast", "max_steps", "max_periods"}
+#: The PlatformConfig fields a run's outcome cannot depend on: only the
+#: engine choice.  The step and period caps are keyed, because a capped
+#: run raises where an uncapped one returns.
+UNKEYED = {"fast"}
 
 
 def _other_value(value):
@@ -98,6 +100,20 @@ def test_unkeyed_fields_share_the_entry(name):
         CONFIG, **{name: _other_value(getattr(CONFIG, name))}
     )
     assert _config_key(changed) == _config_key(CONFIG)
+
+
+def test_capped_run_never_reads_an_uncapped_record():
+    """A cap the run exceeds raises, whether or not the uncapped run of
+    the same benchmark, config and seed is already in either layer."""
+    capped = dataclasses.replace(CONFIG, max_steps=1000)
+    with pytest.raises(SimulationError, match="exceeded 1000 instructions"):
+        cached_run(BENCH, capped, SEED)
+    cached_run(BENCH, CONFIG, SEED)
+    with pytest.raises(SimulationError, match="exceeded 1000 instructions"):
+        cached_run(BENCH, capped, SEED)
+    clear_run_cache()  # the uncapped record now lives on disk only
+    with pytest.raises(SimulationError, match="exceeded 1000 instructions"):
+        cached_run(BENCH, capped, SEED)
 
 
 def test_program_edit_invalidates():

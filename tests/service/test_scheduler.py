@@ -12,7 +12,7 @@ import threading
 import pytest
 
 import repro.service.scheduler as sched
-from repro.analysis.experiments import _config_key, _run_cache, clear_run_cache
+from repro.analysis.engine import _config_key, _run_cache, clear_run_cache
 from repro.service import ProgressEvent, Scheduler, get_scheduler
 from repro.sim.platform import PlatformConfig
 
@@ -269,12 +269,11 @@ def test_reused_workers_match_serial_bit_for_bit(pooled):
     """Two different experiments back to back through one pool (so
     workers switch benchmarks and drop replay state between them)
     equal a serial run of the same jobs."""
-    from repro.analysis import ExperimentSettings
-    from repro.analysis.parallel import experiment_jobs
+    from repro.analysis import ExperimentSettings, get_experiment
 
     smoke = ExperimentSettings(traces=1, benchmarks=["qsort", "hist"],
                                sweep_benchmarks=["qsort"])
-    specs = [experiment_jobs("table3", smoke), experiment_jobs("fig10", smoke)]
+    specs = [get_experiment(spec_id).jobs(smoke) for spec_id in ("table3", "fig10")]
     for jobs in specs:
         pooled.run(jobs, workers=2)
     assert pooled.stats()["pools_started"] == 1

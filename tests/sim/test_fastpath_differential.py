@@ -67,13 +67,15 @@ def test_fast_engine_speeds_up_fig10_smoke(monkeypatch):
     """The smoke Figure 10 experiment, replay off and the run cache cleared
     before each side, runs at least 1.5x faster (CPU seconds) on the
     fast engine than on the reference interpreter."""
-    from repro.analysis.experiments import (
+    from repro.analysis.engine import (
         ExperimentSettings,
+        cached_run,
         clear_run_cache,
-        fig10_backup_schemes,
+        get_experiment,
     )
 
     settings = ExperimentSettings.smoke()
+    fig10 = get_experiment("fig10")
     # One-time costs outside the timing: compilation and the
     # Spendthrift model's lazy training.
     for bench in settings.benchmarks:
@@ -85,7 +87,7 @@ def test_fast_engine_speeds_up_fig10_smoke(monkeypatch):
         monkeypatch.setenv("REPRO_FAST", fast)
         clear_run_cache()
         start = time.process_time()
-        fig10_backup_schemes(settings)
+        fig10.reduce(settings, cached_run)
         seconds[fast] = time.process_time() - start
     clear_run_cache()
     speedup = seconds["0"] / seconds["1"]
