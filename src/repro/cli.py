@@ -323,6 +323,10 @@ def _cmd_serve(args):
 def _cmd_submit(args):
     from repro.service.client import JobFailed, ServiceClient
 
+    def show(event):
+        print(f"  [{event['done']}/{event['total']}] {event['label']}",
+              flush=True)
+
     client = ServiceClient(host=args.host, port=args.port)
     settings = "smoke" if args.smoke else ("full" if args.full else "default")
     status = 0
@@ -336,14 +340,10 @@ def _cmd_submit(args):
         print(f"{name}: {job_id}{coalesced}")
         if not args.wait:
             continue
-        if args.progress:
-            for line in client.stream_events(job_id):
-                if "event" in line:
-                    event = line["event"]
-                    print(f"  [{event['done']}/{event['total']}] "
-                          f"{event['label']}", flush=True)
         try:
-            snapshot = client.wait(job_id, timeout=args.timeout)
+            # The stream's last line is the settled snapshot.
+            snapshot = client.wait(job_id, timeout=args.timeout,
+                                   on_event=show if args.progress else None)
         except JobFailed as failure:
             print(f"{name}: FAILED: {failure}")
             status = 1

@@ -104,39 +104,36 @@ class ServiceClient:
         return self._request("GET", f"/artifact/{experiment_id}")
 
     # ----------------------------------------------------- lifecycles
-    def wait(self, job_id, timeout=600.0, poll=0.1):
-        """Poll until the job settles; returns the final snapshot.
+    def wait(self, job_id, timeout=600.0, on_event=None):
+        """Block until the job settles; returns the final snapshot.
 
-        Raises :class:`JobFailed` if the job failed, ``TimeoutError``
-        if it does not settle within ``timeout`` seconds.
+        Reads the job's event stream to its final line, so the answer
+        arrives as the job settles, with no polling; progress goes into
+        ``on_event(event_dict)`` when given.  Raises :class:`JobFailed`
+        if the job failed, ``TimeoutError`` if it does not settle
+        within ``timeout`` seconds.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            snapshot = self.job(job_id)
-            if snapshot["state"] == "done":
-                return snapshot
-            if snapshot["state"] == "failed":
-                raise JobFailed(snapshot)
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {snapshot['state']} "
-                    f"after {timeout:.0f}s"
-                )
-            time.sleep(poll)
+        return self._settle(
+            job_id, self.stream_events(job_id, timeout=timeout), on_event
+        )
 
-    def stream_events(self, job_id, since=0):
+    def stream_events(self, job_id, since=0, timeout=None):
         """Yield the job's progress events as they happen.
 
         Consumes the server's chunked NDJSON stream; every yielded item
         is a dict — progress lines look like ``{"event": {...}}`` and
         the final line is the job's full snapshot (``{"id": ...,
-        "state": "done"|"failed", ...}``).
+        "state": "done"|"failed", ...}``).  ``timeout`` bounds the whole
+        stream: past it, ``TimeoutError``.  Without it, the client's
+        ``timeout`` bounds the wait for each line.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
         try:
             connection.request("GET", f"/job/{job_id}/events?since={since}")
+            sock = connection.sock
             response = connection.getresponse()
             if response.status >= 400:
                 data = response.read()
@@ -148,16 +145,43 @@ class ServiceClient:
                     f"events for {job_id} -> {response.status}: {message}"
                 )
             # http.client undoes the chunked framing; lines remain.
-            for raw in response:
+            while True:
+                if deadline is not None:
+                    # settimeout(0) would make the socket non-blocking.
+                    sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+                raw = response.readline()
+                if not raw:
+                    break
                 line = raw.strip()
                 if line:
                     yield json.loads(line)
         except (OSError, http.client.HTTPException) as error:
+            if (isinstance(error, TimeoutError) and deadline is not None
+                    and time.monotonic() >= deadline):
+                raise TimeoutError(
+                    f"job {job_id} did not settle within {timeout:.0f}s"
+                ) from None
             raise ServiceUnavailable(
                 f"{self.host}:{self.port}: {error}"
             ) from error
         finally:
             connection.close()
+
+    @staticmethod
+    def _settle(job_id, lines, on_event):
+        """The final snapshot of an event stream, passing progress into
+        ``on_event``; raises :class:`JobFailed` if the job failed."""
+        final = None
+        for line in lines:
+            if "event" not in line:
+                final = line
+            elif on_event is not None:
+                on_event(line["event"])
+        if final is None:
+            raise ServiceUnavailable(f"events for {job_id} ended unsettled")
+        if final["state"] == "failed":
+            raise JobFailed(final)
+        return final
 
     def run(self, experiment, settings="default", workers=None,
             on_event=None):
@@ -173,14 +197,4 @@ class ServiceClient:
             experiment, settings=settings, workers=workers
         )
         job_id = submitted["job"]
-        final = None
-        for line in self.stream_events(job_id):
-            if "event" not in line:
-                final = line
-            elif on_event is not None:
-                on_event(line["event"])
-        if final is None:
-            raise ServiceUnavailable(f"events for {job_id} ended unsettled")
-        if final["state"] == "failed":
-            raise JobFailed(final)
-        return final
+        return self._settle(job_id, self.stream_events(job_id), on_event)

@@ -5,7 +5,7 @@ A submission to the HTTP service becomes a :class:`JobRecord` in the
 and accumulate structured progress events; the table is the service's
 unit of *request-level* deduplication — two identical requests arriving
 while the first is still queued or running coalesce onto one record
-(both callers poll the same job id and read the same result), counted
+(both callers follow the same job id and read the same result), counted
 in :attr:`JobTable.coalesced_total`.  Job-level dedup below this —
 two *different* experiments sharing grid points — is the scheduler's
 (:mod:`repro.service.scheduler`).
@@ -43,55 +43,62 @@ class JobRecord:
         self.error = None
         #: Submissions (beyond the first) that adopted this record.
         self.coalesced = 0
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._listeners = []
 
     # The server's executor threads mutate records; the asyncio side
-    # reads snapshots.  Every mutation notifies waiters so streaming
-    # endpoints wake promptly.
+    # reads snapshots.  Every mutation then calls each listener, so a
+    # stream wakes when its job changes rather than on a timer.
+    def subscribe(self, listener):
+        """Call ``listener()`` after every later mutation.  It runs on
+        the mutating thread, so it must not block."""
+        with self._lock:
+            self._listeners.append(listener)
+
+    def unsubscribe(self, listener):
+        with self._lock:
+            self._listeners.remove(listener)
+
+    def _changed(self):
+        with self._lock:
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener()
+
     def mark_running(self):
-        with self._cond:
+        with self._lock:
             self.state = RUNNING
             self.started = time.time()
-            self._cond.notify_all()
+        self._changed()
 
     def mark_done(self, result):
-        with self._cond:
+        with self._lock:
             self.state = DONE
             self.result = result
             self.finished = time.time()
-            self._cond.notify_all()
+        self._changed()
 
     def mark_failed(self, error):
-        with self._cond:
+        with self._lock:
             self.state = FAILED
             self.error = str(error)
             self.finished = time.time()
-            self._cond.notify_all()
+        self._changed()
 
     def add_event(self, event):
         """Append one progress event (a JSON-ready dict)."""
-        with self._cond:
+        with self._lock:
             self.events.append(event)
-            self._cond.notify_all()
+        self._changed()
 
     def events_since(self, index):
         """A copy of the events appended after ``index``."""
-        with self._cond:
+        with self._lock:
             return list(self.events[index:])
-
-    def wait_change(self, seen_events, timeout):
-        """Block until there are more than ``seen_events`` events or the
-        job settles; returns promptly if either already holds."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: len(self.events) > seen_events
-                or self.state not in _ACTIVE,
-                timeout,
-            )
 
     def snapshot(self, with_result=True, with_events=False):
         """A JSON-ready view of the record."""
-        with self._cond:
+        with self._lock:
             view = {
                 "id": self.id,
                 "kind": self.kind,

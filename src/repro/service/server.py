@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.service.jobs import DONE, FAILED, JobTable
+from repro.service.jobs import _ACTIVE, JobTable
 from repro.service.scheduler import get_scheduler
 
 
@@ -255,9 +255,6 @@ class SimulationService:
 
 
 # ------------------------------------------------------------ HTTP layer
-_ACTIVE_STATES = ("queued", "running")
-
-
 class ServiceServer:
     """The asyncio HTTP front of a :class:`SimulationService`."""
 
@@ -414,21 +411,38 @@ class ServiceServer:
             line = json.dumps(line_obj).encode() + b"\n"
             return f"{len(line):x}\r\n".encode() + line + b"\r\n"
 
-        seen = since
-        while True:
-            events = record.events_since(seen)
-            for event in events:
-                writer.write(chunk({"event": event}))
-            if events:
+        # The job runs on an executor thread; each change it makes
+        # hands a wake-up to this loop.  Subscribing before the first
+        # check, and clearing before each one, means a change that
+        # lands between a check and the await still ends the await.
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
+
+        def on_change():
+            try:
+                loop.call_soon_threadsafe(wake.set)
+            except RuntimeError:  # the loop has closed: no one to wake
+                pass
+
+        record.subscribe(on_change)
+        try:
+            seen = since
+            while True:
+                wake.clear()
+                # The state first: a job settles after its last event,
+                # so once it reads settled no event is still to come.
+                snapshot = record.snapshot(with_result=True)
+                events = record.events_since(seen)
+                for event in events:
+                    writer.write(chunk({"event": event}))
                 seen += len(events)
+                if snapshot["state"] not in _ACTIVE:
+                    writer.write(chunk(snapshot))
+                    break
                 await writer.drain()
-            snapshot = record.snapshot(with_result=False)
-            if snapshot["state"] not in _ACTIVE_STATES and not record.events_since(seen):
-                writer.write(chunk(record.snapshot(with_result=True)))
-                break
-            # The job runs in an executor thread; poll its condition
-            # without blocking the event loop.
-            await asyncio.sleep(0.05)
+                await wake.wait()
+        finally:
+            record.unsubscribe(on_change)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -7,17 +7,20 @@ This suite reads those committed files with the simulator monkeypatched
 to raise, so it costs no simulation and runs on every push:
 
 * every artifact loads, and its ``.txt`` is exactly its re-rendering;
+* every artifact was written at the default settings;
 * each result keeps the paper's shape (the per-experiment checks
   below), so a regeneration that flips a conclusion fails here even
   though the documents would still read the old text.
 """
 
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import engine
-from repro.analysis.engine import load_artifact, render_artifact
+from repro.analysis.engine import (ExperimentSettings, load_artifact,
+                                   render_artifact)
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 COMMITTED = sorted(path.stem for path in RESULTS.glob("*.json"))
@@ -45,6 +48,14 @@ def test_text_is_the_rendered_artifact(spec_id):
     assert artifact["experiment"] == spec_id
     text = (RESULTS / f"{spec_id}.txt").read_text()
     assert text == render_artifact(artifact) + "\n"
+
+
+@pytest.mark.parametrize("spec_id", COMMITTED)
+def test_settings_are_the_default_settings(spec_id):
+    # Every committed result is regenerated at default settings, so a
+    # regeneration rewrites no ``settings`` block.
+    artifact = load_artifact(RESULTS / f"{spec_id}.json")
+    assert artifact["settings"] == asdict(ExperimentSettings())
 
 
 # ------------------------------------------------------ paper shapes

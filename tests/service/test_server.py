@@ -1,4 +1,5 @@
-"""The HTTP service: round trips, coalescing, artifacts, errors.
+"""The HTTP service: round trips, coalescing, artifacts, errors, the
+event stream and the CLI ``submit`` verb.
 
 Each test boots a real :class:`BackgroundServer` (the asyncio server
 on a thread, bound to an ephemeral port) and drives it through the
@@ -237,3 +238,154 @@ def test_backpressure_refuses_when_backlog_full(tmp_path, monkeypatch):
             # bound is refused with 503 rather than queued unboundedly.
             client.submit_experiment("fig14", settings="smoke", workers=1)
         release.set()
+
+
+# --------------------------------------------------------- event stream
+def _live_record(server):
+    """A running job the test drives by hand: registered with the
+    server's table but never handed to its executor."""
+    record, _ = server.service.jobs.submit("simulate", {"benchmark": "hist"})
+    record.mark_running()
+    return record
+
+
+def _progress(index):
+    return {"done": index, "total": 5, "label": f"step{index}"}
+
+
+def test_stream_wakes_for_a_change_between_check_and_await(server,
+                                                           monkeypatch):
+    # The job settles after the stream has read it as running and
+    # before the stream awaits the next change.  If that change were
+    # lost, the stream would never end and the client's read would
+    # time out.
+    record = _live_record(server)
+    real_snapshot = record.snapshot
+    checks = []
+
+    def snapshot_then_settle(*args, **kwargs):
+        view = real_snapshot(*args, **kwargs)
+        checks.append(view["state"])
+        if len(checks) == 1:
+            # From another thread, as the executor settles real jobs.
+            settle = threading.Thread(target=record.mark_done,
+                                      args=({"ok": True},))
+            settle.start()
+            settle.join(10)
+            assert not settle.is_alive()
+        return view
+
+    monkeypatch.setattr(record, "snapshot", snapshot_then_settle)
+    lines = list(ServiceClient(port=server.port,
+                               timeout=10).stream_events(record.id))
+    assert checks == ["running", "done"]
+    assert lines == [real_snapshot(with_result=True)]
+    assert lines[0]["result"] == {"ok": True}
+
+
+def test_stream_sends_every_event_in_order_then_the_snapshot(server):
+    record = _live_record(server)
+    record.add_event(_progress(0))
+    stream = ServiceClient(port=server.port, timeout=10).stream_events(
+        record.id)
+    # The first line proves the stream is live before the job moves on.
+    lines = [next(stream)]
+    for index in range(1, 5):
+        record.add_event(_progress(index))
+    record.mark_done({"ok": True})
+    lines += list(stream)
+    assert lines[:-1] == [{"event": _progress(i)} for i in range(5)]
+    assert lines[-1]["state"] == "done"
+    assert lines[-1]["events"] == 5
+    assert lines[-1]["result"] == {"ok": True}
+
+    # ?since=k resumes at event k.
+    resumed = list(ServiceClient(port=server.port, timeout=10)
+                   .stream_events(record.id, since=3))
+    assert resumed[:-1] == [{"event": _progress(i)} for i in (3, 4)]
+    assert resumed[-1] == lines[-1]
+
+
+def test_disconnected_stream_leaves_no_listener(server, monkeypatch):
+    record = _live_record(server)
+    record.add_event(_progress(0))
+    unsubscribed = threading.Event()
+    real_unsubscribe = record.unsubscribe
+
+    def unsubscribe(listener):
+        real_unsubscribe(listener)
+        unsubscribed.set()
+
+    monkeypatch.setattr(record, "unsubscribe", unsubscribe)
+    stream = ServiceClient(port=server.port, timeout=10).stream_events(
+        record.id)
+    assert next(stream) == {"event": _progress(0)}
+    assert len(record._listeners) == 1
+    stream.close()  # the client hangs up mid-job
+    record.mark_done({"ok": True})
+    assert unsubscribed.wait(10)
+    assert record._listeners == []
+
+
+def test_wait_streams_instead_of_polling(client, server, monkeypatch):
+    record = _live_record(server)
+    sent = _record_requests(client, monkeypatch)
+    settle = threading.Thread(target=record.mark_done, args=({"ok": True},))
+    settle.start()
+    assert client.wait(record.id, timeout=10)["result"] == {"ok": True}
+    settle.join(10)
+    assert not settle.is_alive()
+    assert sent == []  # no GET /job/<id>
+
+
+def test_wait_times_out_on_an_unsettled_job(client, server):
+    record = _live_record(server)
+    with pytest.raises(TimeoutError, match="did not settle"):
+        client.wait(record.id, timeout=0.2)
+    record.mark_done({"ok": True})
+
+
+# ------------------------------------------------------ repro submit
+def _record_routes(server, monkeypatch):
+    """Every (method, path) the server is asked for."""
+    routed = []
+    real_route = server.server._route
+
+    async def spy(writer, method, path, query, body):
+        routed.append((method, path))
+        return await real_route(writer, method, path, query, body)
+
+    monkeypatch.setattr(server.server, "_route", spy)
+    return routed
+
+
+def _submit(server, *extra):
+    from repro.cli import main
+
+    return main(["submit", EXPERIMENT, "--smoke", "--wait", "--progress",
+                 "--port", str(server.port), *extra])
+
+
+def test_cli_submit_streams_the_result_in_one_request(server, monkeypatch,
+                                                      capsys):
+    routed = _record_routes(server, monkeypatch)
+    assert _submit(server) == 0
+    out = capsys.readouterr().out
+    job_id = "job-000001"
+    assert out.startswith(f"{EXPERIMENT}: {job_id}\n  [1/2] ")
+    assert routed == [("POST", "/experiment"),
+                      ("GET", f"/job/{job_id}/events")]
+    rendered = server.service.jobs.get(job_id).result["rendered"]
+    assert rendered.strip() and rendered in out
+
+
+def test_cli_submit_returns_1_when_the_job_fails(server, monkeypatch,
+                                                 capsys):
+    def broken_run(*args, **kwargs):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr(engine, "run_experiment", broken_run)
+    routed = _record_routes(server, monkeypatch)
+    assert _submit(server) == 1
+    assert "FAILED: engine exploded" in capsys.readouterr().out
+    assert [method for method, _ in routed] == ["POST", "GET"]
