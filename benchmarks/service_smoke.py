@@ -144,13 +144,16 @@ def main(argv=None):
 
         # ------------------------------------------------ byte-for-byte
         for name in names:
-            service_bytes = artifact_path(name, service_artifacts).read_bytes()
-            serial_bytes = artifact_path(name, serial_artifacts).read_bytes()
-            if service_bytes != serial_bytes:
-                failures.append(
-                    f"{name}: service artifact != in-process artifact"
-                )
-        print(f"{len(names)} artifacts diffed byte-for-byte")
+            for suffix in (".json", ".txt"):
+                service_path = artifact_path(name, service_artifacts)
+                serial_path = artifact_path(name, serial_artifacts)
+                service_bytes = service_path.with_suffix(suffix).read_bytes()
+                serial_bytes = serial_path.with_suffix(suffix).read_bytes()
+                if service_bytes != serial_bytes:
+                    failures.append(
+                        f"{name}{suffix}: service artifact != in-process"
+                    )
+        print(f"{len(names)} artifacts (.json and .txt) diffed byte-for-byte")
 
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -25,9 +25,11 @@ from the spec:
   the K-th of N deterministic slices of the job grid, so a paper-scale
   sweep splits across invocations/machines that share a disk cache;
   the final shard finds every other slice cached and reduces;
-* **artifacts** — versioned JSON documents (:data:`ARTIFACT_SCHEMA`)
-  written to ``benchmarks/results/``, reloadable and re-renderable
-  without any simulation (:func:`render_artifact`).
+* **artifacts** — versioned JSON documents (:data:`ARTIFACT_SCHEMA`),
+  each with its rendered ``<id>.txt`` beside it, written to the
+  directory the caller names (the committed ones live in
+  ``benchmarks/results/``), reloadable and re-renderable without any
+  simulation (:func:`render_artifact`).
 
 Adding experiment N+1 is one ~20-line spec in
 :mod:`repro.analysis.experiments` — the CLI listing, ``repro
@@ -36,8 +38,6 @@ artifacts all pick it up from the registry.
 """
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, List, NamedTuple, Optional
@@ -45,16 +45,13 @@ from typing import Any, Callable, List, NamedTuple, Optional
 from repro.analysis import runcache
 from repro.energy.traces import HarvestTrace
 from repro.sim.platform import PlatformConfig
+from repro.store import atomic_write
 from repro.workloads import BENCHMARKS, run_workload
 
 ALL_BENCHMARKS = list(BENCHMARKS)
 
 #: Violation-heavy subset used for structure-sensitivity sweeps.
 SWEEP_BENCHMARKS = ["qsort", "dwt", "picojpeg", "blowfish"]
-
-
-def _full_mode():
-    return os.environ.get("REPRO_FULL", "") not in ("", "0")
 
 
 @dataclass
@@ -75,10 +72,6 @@ class ExperimentSettings:
     )
     #: Benchmarks averaged into each Pareto candidate's objectives.
     pareto_benchmarks: list = field(default_factory=lambda: ["qsort", "dwt"])
-
-    @classmethod
-    def default(cls):
-        return cls.full() if _full_mode() else cls()
 
     @classmethod
     def full(cls):
@@ -194,13 +187,13 @@ def _simulate(benchmark, config, trace_seed):
     ``tests/sim/test_replay_differential.py``.  Replay itself defaults
     to compiled-epoch quantum windows (:mod:`repro.sim.epochs`;
     ``REPRO_REPLAY_COMPILED=0`` forces the scalar window — see
-    ``docs/REPLAY.md``).  Ineligible runs (``REPRO_REPLAY=0``, the
+    ``docs/REPLAY.md``).  Runs that ``replay_supported`` rejects (the
     Ideal architecture, ``fast=False``) fall back to
     :func:`repro.workloads.run_workload` unchanged.
     """
     from repro.sim import replay
 
-    if replay.replay_enabled() and replay.replay_supported(config):
+    if replay.replay_supported(config):
         return replay.replay_workload(
             benchmark,
             trace_seed=trace_seed,
@@ -250,14 +243,10 @@ class ExperimentSpec:
     render: Callable[[Any], str]
     static: bool = False
     in_report: bool = True
-    #: Archive the JSON artifact under :func:`default_artifact_dir`
-    #: even when the caller gives no ``--artifacts`` directory (used by
-    #: the Pareto sweeps, whose whole output *is* the artifact).
-    archive: bool = False
 
     def jobs(self, settings=None):
         """The deduplicated, deterministically ordered job list."""
-        settings = settings or ExperimentSettings.default()
+        settings = settings or ExperimentSettings()
         return [job for _key, job in _dedup_jobs(self.grid(settings))]
 
 
@@ -298,7 +287,7 @@ def record_jobs(spec, settings=None):
     """Run the spec's reduce with a recording fetch and return the set
     of job keys it actually requested (the enumeration/driver agreement
     probe: must equal ``{job_key(j) for j in spec.grid(settings)}``)."""
-    settings = settings or ExperimentSettings.default()
+    settings = settings or ExperimentSettings()
     recorded = set()
 
     def fetch(benchmark, config, trace_seed):
@@ -388,16 +377,6 @@ def artifact_path(experiment_id, directory):
     return Path(directory) / f"{experiment_id}.json"
 
 
-def default_artifact_dir():
-    """Where ``archive=True`` specs land their artifacts: the repo's
-    ``benchmarks/results/`` when running from a checkout, else the
-    working directory's."""
-    repo_root = Path(__file__).resolve().parents[3]
-    if (repo_root / "benchmarks").is_dir():
-        return repo_root / "benchmarks" / "results"
-    return Path.cwd() / "benchmarks" / "results"
-
-
 def write_artifact(spec, settings, result, directory):
     """Write the versioned JSON artifact for one reduced result.
 
@@ -407,8 +386,6 @@ def write_artifact(spec, settings, result, directory):
     """
     from repro import MODEL_VERSION
 
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(
         {
             "schema": ARTIFACT_SCHEMA,
@@ -424,17 +401,7 @@ def write_artifact(spec, settings, result, directory):
         indent=1,
     )
     path = artifact_path(spec.id, directory)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, payload.encode())
     return path
 
 
@@ -486,7 +453,8 @@ def run_experiment(spec, settings=None, workers=None, shard=None,
     Enumerates the spec's grid, prefetches the (shard's) jobs in
     parallel across ``workers`` processes (seeding the in-process and
     disk caches), then — if every job of the *full* grid is available —
-    reduces, renders, and optionally writes the JSON artifact.
+    reduces, renders, and — when ``artifact_dir`` is given — writes the
+    JSON artifact and its rendered ``<id>.txt`` there.
 
     ``shard="K/N"`` restricts simulation to the K-th deterministic
     slice of the grid.  A non-final shard typically returns
@@ -502,7 +470,7 @@ def run_experiment(spec, settings=None, workers=None, shard=None,
 
     if isinstance(spec, str):
         spec = get_experiment(spec)
-    settings = settings or ExperimentSettings.default()
+    settings = settings or ExperimentSettings()
     ordered = _dedup_jobs(spec.grid(settings))
     shard_slice = parse_shard(shard) if isinstance(shard, str) else shard
     if shard_slice is not None:
@@ -535,6 +503,7 @@ def run_experiment(spec, settings=None, workers=None, shard=None,
         rendered = spec.render(result)
         if artifact_dir is not None:
             path = write_artifact(spec, settings, result, artifact_dir)
+            atomic_write(path.with_suffix(".txt"), (rendered + "\n").encode())
     return ExperimentRun(
         spec_id=spec.id,
         title=spec.title,

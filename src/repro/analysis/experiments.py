@@ -19,10 +19,9 @@ benchmarks.  A cycle-level Python simulator cannot afford that for
 every sweep point by default, so every entry point takes an
 :class:`~repro.analysis.engine.ExperimentSettings` whose defaults are
 a documented compromise (fewer traces for the sensitivity sweeps, a
-violation-heavy benchmark subset for the structure sweeps).  Set the
-environment variable ``REPRO_FULL=1`` (or pass ``--full`` /
-``ExperimentSettings.full()``) to reproduce at the paper's full
-averaging scale.
+violation-heavy benchmark subset for the structure sweeps).  Pass
+``--full`` (or ``ExperimentSettings.full()``) to reproduce at the
+paper's full averaging scale.
 
 All experiments share a process-wide run cache (plus the persistent
 disk layer): the Clank/JIT baseline, for instance, is reused across

@@ -1,7 +1,7 @@
 """Process-parallel experiment execution — thin caller of the scheduler.
 
 Spec reductions are serial (they share an in-process run cache).  For
-paper-scale averaging (``REPRO_FULL=1``: 10 traces x 10 benchmarks x
+paper-scale averaging (``--full``: 10 traces x 10 benchmarks x
 several configurations) that is hours of single-core simulation, so
 :func:`prefetch_runs` pre-computes run results across worker processes
 and seeds the cache; the reduce then finds every run already cached.

@@ -340,7 +340,6 @@ def _make_spec(spec_id, title, policies):
         ),
         render=lambda result: render_pareto(title, result),
         in_report=False,
-        archive=True,
     )
 
 

@@ -41,11 +41,6 @@ def _import_pyplot():
     return pyplot
 
 
-def matplotlib_available():
-    """Whether plot rendering is possible in this environment."""
-    return _import_pyplot() is not None
-
-
 def _coerce_result(source):
     """Accept an artifact path, an artifact document or a raw pareto
     result; returns ``(result, experiment_id or None)``."""

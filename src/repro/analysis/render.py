@@ -89,7 +89,7 @@ def generate_report(settings=None, sections=None):
     """
     from repro.analysis import engine
 
-    settings = settings or engine.ExperimentSettings.default()
+    settings = settings or engine.ExperimentSettings()
     wanted = set(sections) if sections else None
     parts = [
         "# NvMR reproduction — evaluation report",

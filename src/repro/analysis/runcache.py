@@ -127,10 +127,6 @@ def entry_key(benchmark, config_key, trace_seed):
     )
 
 
-def _entry_path(key):
-    return _runs().path(key)
-
-
 # ------------------------------------------------------- serialization
 def _result_to_dict(result):
     return {

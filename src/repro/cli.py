@@ -228,7 +228,7 @@ def _pick_settings(args):
         return ExperimentSettings.smoke()
     if getattr(args, "full", False):
         return ExperimentSettings.full()
-    return ExperimentSettings.default()
+    return ExperimentSettings()
 
 
 def _cmd_report(args):
@@ -257,17 +257,12 @@ def _cmd_experiment(args):
         set_progress_handler(console_progress())
     try:
         for name in names:
-            artifact_dir = args.artifacts
-            if artifact_dir is None and registry[name].archive:
-                # Archive-by-default experiments (the Pareto sweeps):
-                # their whole output is the artifact.
-                artifact_dir = engine.default_artifact_dir()
             run = engine.run_experiment(
                 name,
                 settings=settings,
                 workers=args.workers,
                 shard=args.shard,
-                artifact_dir=artifact_dir,
+                artifact_dir=args.artifacts,
             )
             if not run.complete:
                 print(
@@ -280,8 +275,6 @@ def _cmd_experiment(args):
                 continue
             print(run.rendered)
             if run.artifact_path is not None:
-                run.artifact_path.with_suffix(".txt").write_text(
-                    run.rendered + "\n")
                 print(f"[artifact: {run.artifact_path}]")
                 if name.startswith("pareto"):
                     # The front renderer is a pure view over the
@@ -300,21 +293,17 @@ def _cmd_experiment(args):
 
 
 def _cmd_serve(args):
-    from repro.analysis.engine import default_artifact_dir
     from repro.service.server import serve
 
-    artifact_dir = args.artifacts
-    if artifact_dir is None:
-        artifact_dir = default_artifact_dir()
     return serve(
         host=args.host,
         port=args.port,
         workers=args.workers,
         max_active=args.max_active,
-        artifact_dir=artifact_dir,
+        artifact_dir=args.artifacts,
         announce=lambda server: print(
             f"repro service on http://{server.host}:{server.port} "
-            f"(artifacts: {artifact_dir})",
+            f"(artifacts: {args.artifacts or 'none'})",
             flush=True,
         ),
     )
@@ -464,7 +453,7 @@ def build_parser():
                          help="jobs executing concurrently (default 2)")
     p_serve.add_argument("--artifacts", metavar="DIR", default=None,
                          help="artifact directory the server writes and "
-                              "serves (default benchmarks/results)")
+                              "serves (default: archive nothing)")
 
     p_submit = sub.add_parser(
         "submit", help="submit experiments to a running service"

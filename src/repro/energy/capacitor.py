@@ -67,9 +67,6 @@ class Supercapacitor:
         """
         self.energy = self.capacity if budget is None else min(budget, self.capacity)
 
-    def can_afford(self, amount):
-        return self.energy >= amount
-
     def draw(self, amount):
         """Draw ``amount`` nJ; returns False (and drains to zero) if the
         charge is insufficient — the caller must declare a power failure."""

@@ -95,10 +95,10 @@ def _job_kind(job):
     """How a fresh job will execute: ``"replay[compiled]"`` (epoch
     scripts, the default), ``"replay"`` (scalar window) or ``"sim"``."""
     from repro.sim.epochs import compiled_enabled
-    from repro.sim.replay import replay_enabled, replay_supported
+    from repro.sim.replay import replay_supported
 
     _benchmark, config, _seed = job
-    if replay_enabled() and replay_supported(config):
+    if replay_supported(config):
         return "replay[compiled]" if compiled_enabled() else "replay"
     return "sim"
 

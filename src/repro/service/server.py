@@ -20,6 +20,8 @@ Endpoints (see docs/SERVICE.md)
 ``GET  /job/<id>``          job snapshot (result included when done)
 ``GET  /job/<id>/events``   chunked NDJSON progress stream until settle
 ``GET  /artifact/<id>``     the experiment's archived JSON artifact
+                            (``404`` when started without an
+                            ``artifact_dir``: nothing is archived)
 
 The HTTP layer is a deliberately small hand-rolled HTTP/1.1 — request
 line + headers + Content-Length body, one request per connection —
@@ -148,7 +150,7 @@ class SimulationService:
 
         return {
             "smoke": ExperimentSettings.smoke,
-            "default": ExperimentSettings.default,
+            "default": ExperimentSettings,
             "full": ExperimentSettings.full,
         }[name]()
 

@@ -17,7 +17,6 @@ The run loop models the paper's execution environment:
   persisted its outputs.
 """
 
-import os
 from dataclasses import dataclass, field
 
 from repro.arch import make_architecture
@@ -36,12 +35,6 @@ from repro.sim.results import RunResult
 
 class SimulationError(Exception):
     """The simulation could not make progress (timeout / livelock)."""
-
-
-def _fast_default():
-    """Default for :attr:`PlatformConfig.fast`; ``REPRO_FAST=0`` forces
-    the reference interpreter process-wide (A/B timing, debugging)."""
-    return os.environ.get("REPRO_FAST", "1") not in ("0", "")
 
 
 @dataclass
@@ -85,10 +78,9 @@ class PlatformConfig:
     max_periods: int = 200_000
     #: Use the fast-path execution engine (pre-decoded dispatch + policy
     #: quanta + batched ledger classification).  Results are bit-identical
-    #: to the reference interpreter; set ``fast=False`` (or export
-    #: ``REPRO_FAST=0`` to flip the default process-wide) to run the
-    #: seed per-instruction loop (the differential suite compares both).
-    fast: bool = field(default_factory=_fast_default)
+    #: to the reference interpreter; set ``fast=False`` to run the seed
+    #: per-instruction loop (the differential suite compares both).
+    fast: bool = True
 
     def arch_kwargs(self):
         common = dict(
@@ -142,11 +134,6 @@ class PlatformConfig:
         if self.capacitor_energy is not None:
             return self.capacitor_energy
         return CAPACITOR_PRESETS[self.capacitor]
-
-
-def default_config(**overrides):
-    """Table 2's configuration, with keyword overrides."""
-    return PlatformConfig(**overrides)
 
 
 class Platform:

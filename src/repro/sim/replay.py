@@ -21,12 +21,10 @@ of the step it was taken at (``replay_k``), and a restore resumes the
 event stream from that cursor — re-streaming the same events the
 re-executed instructions would re-issue.
 
-Replay is used when:
-
-* ``REPRO_REPLAY`` is not ``0`` (the knob disables it process-wide);
-* the configuration requests the fast engine (``config.fast`` — with
-  ``REPRO_FAST=0`` both layers fall back to the reference
-  interpreter, preserving its A/B debugging role).
+Replay serves every configuration that :func:`replay_supported`
+accepts: one that requests the fast engine (``config.fast``; with
+``fast=False`` both layers fall back to the reference interpreter,
+preserving its A/B debugging role) on any architecture but Ideal.
 
 Quantum windows run through the compiled-epoch executor
 (:mod:`repro.sim.epochs`) by default — whole failure-free epochs as
@@ -45,7 +43,6 @@ sweeps through replay.
 """
 
 import gc
-import os
 
 from repro.cpu.core import Core
 from repro.cpu.fastcore import inlines_cache_hits
@@ -68,11 +65,6 @@ _image_cache = {}
 _stored_seeds = set()
 
 
-def replay_enabled():
-    """Whether replay integration is on (``REPRO_REPLAY=0`` disables)."""
-    return os.environ.get("REPRO_REPLAY", "1") not in ("0", "")
-
-
 def replay_supported(config):
     """Whether this configuration may be served by replay.
 
@@ -86,8 +78,8 @@ def replay_supported(config):
     observe corrupted memory and genuinely diverge from the trace.
     Ideal runs therefore always use the full simulator.
 
-    ``fast=False`` (directly or via ``REPRO_FAST=0``) also opts the
-    run out of every accelerated path, replay included.
+    ``fast=False`` also opts the run out of every accelerated path,
+    replay included.
     """
     return bool(config.fast) and config.arch != "ideal"
 

@@ -30,21 +30,15 @@ stores written by earlier checkouts keep hitting):
 Writes are atomic (temp file + ``os.replace``), so concurrent workers
 racing on a key overwrite each other with identical bytes.
 
-Environment knobs
------------------
-``REPRO_TRACE_DIR``
-    Store directory (default ``<REPRO_CACHE_DIR>/traces``).
-``REPRO_RUN_CACHE=0``
-    Disables the trace store together with the run cache (traces are
-    still recorded in-process; they just aren't persisted).
+The store lives at ``<REPRO_CACHE_DIR>/traces`` and shares the run
+cache's ``REPRO_RUN_CACHE=0`` switch: traces are then still recorded
+in-process; they just aren't persisted.
 """
 
 import hashlib
 import io
 import json
-import os
 import zipfile
-from pathlib import Path
 
 import numpy as np
 
@@ -64,9 +58,6 @@ def enabled():
 
 def store_dir():
     """The trace store directory as a :class:`~pathlib.Path`."""
-    override = os.environ.get("REPRO_TRACE_DIR", "")
-    if override:
-        return Path(override)
     return runcache.cache_dir() / "traces"
 
 
@@ -97,14 +88,6 @@ def entry_key(program_hash, trace_seed):
             "trace_seed": trace_seed,
         }
     )
-
-
-def _key_path(key):
-    return _keys().path(key)
-
-
-def _blob_path(blob_digest):
-    return _blobs().path(blob_digest)
 
 
 # ------------------------------------------------------- serialization

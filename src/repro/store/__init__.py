@@ -32,7 +32,7 @@ Semantics shared by every namespace
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 __all__ = [
@@ -65,11 +65,25 @@ def atomic_write(path, data):
     :func:`sweep_tmp` cleans.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    # Created exclusively with the mode a plain open() gives (0o666 less
+    # the umask), which os.replace keeps; mkstemp would make it 0o600.
+    # Bare os calls, and mkdir only when the directory is missing: the
+    # service writes two files per /experiment request, and every extra
+    # system call there lengthens the round trip measurably.
+    tmp = path.parent / f"tmp{secrets.token_hex(8)}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:

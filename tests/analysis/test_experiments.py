@@ -197,12 +197,3 @@ def test_fig13a_and_13d_smoke():
     caps = _result(fig13d_spec(presets=("500uF", "100mF")), small)
     # Bigger capacitor -> longer sections -> more savings (Fig 13d).
     assert caps["100mF"] > caps["500uF"]
-
-
-def test_full_mode_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_FULL", "1")
-    assert ExperimentSettings.default().traces == 10
-    monkeypatch.setenv("REPRO_FULL", "0")
-    assert ExperimentSettings.default().traces == 2
-    monkeypatch.delenv("REPRO_FULL")
-    assert ExperimentSettings.default().traces == 2

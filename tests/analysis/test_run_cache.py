@@ -2,12 +2,20 @@
 
 import dataclasses
 import json
+import os
+import stat
 
 import pytest
 
 import repro
 from repro.analysis import runcache
-from repro.analysis.engine import _config_key, _run_cache, cached_run, clear_run_cache
+from repro.analysis.engine import (
+    _config_key,
+    _run_cache,
+    cached_run,
+    clear_run_cache,
+    run_experiment,
+)
 from repro.analysis.parallel import prefetch_runs
 from repro.sim.platform import PlatformConfig, SimulationError
 from repro.workloads import register_workload, unregister_workload
@@ -272,3 +280,19 @@ def test_parallel_prefetch_seeds_same_entries_as_serial():
     clear_run_cache()
     assert prefetch_runs(jobs, workers=2) == 0
     assert dict(_run_cache) == parallel_mem
+
+
+def test_new_entries_and_artifacts_take_the_umask_mode(tmp_path):
+    """Store entries and artifacts are created like any file a plain
+    ``open()`` makes (0o666 less the umask), not owner-only."""
+    old = os.umask(0o022)
+    try:
+        cached_run(BENCH, CONFIG, SEED)
+        run = run_experiment("table2", artifact_dir=tmp_path / "artifacts")
+    finally:
+        os.umask(old)
+    written = [runcache.cache_dir() / name for name in _entries()]
+    written += [run.artifact_path, run.artifact_path.with_suffix(".txt")]
+    assert len(written) == 3
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path

@@ -152,6 +152,10 @@ def test_experiment_round_trip_matches_in_process(client, server, tmp_path,
     )
     local_path = engine.artifact_path(EXPERIMENT, local_dir)
     assert local_path.read_bytes() == service_path.read_bytes()
+    # Both archives carry the rendered text beside the JSON.
+    service_txt = service_path.with_suffix(".txt")
+    assert service_txt.read_text() == result["rendered"] + "\n"
+    assert local_path.with_suffix(".txt").read_bytes() == service_txt.read_bytes()
 
 
 def test_simulate_round_trip(client):

@@ -16,6 +16,7 @@ that the fast path still pays for itself.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -63,16 +64,12 @@ FAST_SPEED_FLOOR = 1.5
 
 
 @pytest.mark.gate
-def test_fast_engine_speeds_up_fig10_smoke(monkeypatch):
-    """The smoke Figure 10 experiment, replay off and the run cache cleared
-    before each side, runs at least 1.5x faster (CPU seconds) on the
-    fast engine than on the reference interpreter."""
-    from repro.analysis.engine import (
-        ExperimentSettings,
-        cached_run,
-        clear_run_cache,
-        get_experiment,
-    )
+def test_fast_engine_speeds_up_fig10_smoke():
+    """The smoke Figure 10 reduce, every distinct run simulated once by
+    ``run_workload`` (no replay, no run cache), takes at least 1.5x
+    fewer CPU seconds on the fast engine than on the reference
+    interpreter."""
+    from repro.analysis.engine import ExperimentSettings, get_experiment, job_key
 
     settings = ExperimentSettings.smoke()
     fig10 = get_experiment("fig10")
@@ -81,18 +78,26 @@ def test_fast_engine_speeds_up_fig10_smoke(monkeypatch):
     for bench in settings.benchmarks:
         load_program(bench)
     run_workload("hist", arch="clank", policy="spendthrift", trace_seed=0)
-    monkeypatch.setenv("REPRO_REPLAY", "0")
     seconds = {}
-    for fast in ("1", "0"):
-        monkeypatch.setenv("REPRO_FAST", fast)
-        clear_run_cache()
+    for fast in (True, False):
+        runs = {}
+
+        def fetch(benchmark, config, trace_seed):
+            key = job_key((benchmark, config, trace_seed))
+            if key not in runs:
+                runs[key] = run_workload(
+                    benchmark,
+                    config=replace(config, fast=fast),
+                    trace=HarvestTrace(trace_seed),
+                )
+            return runs[key]
+
         start = time.process_time()
-        fig10.reduce(settings, cached_run)
+        fig10.reduce(settings, fetch)
         seconds[fast] = time.process_time() - start
-    clear_run_cache()
-    speedup = seconds["0"] / seconds["1"]
+    speedup = seconds[False] / seconds[True]
     assert speedup >= FAST_SPEED_FLOOR, (
-        f"fast {seconds['1']:.2f}s vs reference {seconds['0']:.2f}s "
+        f"fast {seconds[True]:.2f}s vs reference {seconds[False]:.2f}s "
         f"({speedup:.2f}x < {FAST_SPEED_FLOOR}x)"
     )
 

@@ -42,7 +42,7 @@ from repro.sim.replay import (
 )
 from repro.sim.trace import DERIVED_CACHE_ENTRIES
 from repro.sim.tracing import InstructionTracer
-from repro.workloads import BENCHMARKS, load_program, verify_platform
+from repro.workloads import BENCHMARKS, load_program, run_workload, verify_platform
 
 #: Every registered architecture the replayer serves (ideal is
 #: intentionally bypassed; see test_ideal_is_bypassed).
@@ -573,7 +573,9 @@ def test_engine_routes_cache_misses_through_replay(monkeypatch):
     via_replay = _simulate("hist", config, 0)
     assert calls == ["hist"]
 
-    monkeypatch.setenv("REPRO_REPLAY", "0")
-    via_sim = _simulate("hist", config, 0)
-    assert calls == ["hist"]  # knob off: the simulator served the run
+    via_sim = run_workload("hist", config=replace(config),
+                           trace=HarvestTrace(0))
     assert via_sim == via_replay
+    via_reference = _simulate("hist", replace(config, fast=False), 0)
+    assert calls == ["hist"]  # fast=False: the simulator served the run
+    assert via_reference == via_replay

@@ -18,8 +18,8 @@ from repro.workloads import load_program
 def store(monkeypatch, tmp_path):
     """An enabled, empty store in a per-test directory."""
     monkeypatch.setenv("REPRO_RUN_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    return tmp_path / "traces"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "traces"
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +185,7 @@ def test_disabled_store_is_inert(store, hist_trace, monkeypatch):
 # ------------------------------------------- corrupted script == miss
 def test_corrupted_script_reads_as_miss(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUN_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     key = epochs.script_key("deadbeef", (1, 2, 3), (1.0, 2.0, 3.0, None, None))
     path = epochs._scripts().path(key)
     # Absent entry: a miss.
@@ -214,7 +214,7 @@ def test_corrupted_store_rebuilds_bit_identically(tmp_path, monkeypatch):
     """End to end: poison every stored script mid-sweep; the rebuilt
     compiled replay must still match the scalar replay bit for bit."""
     monkeypatch.setenv("REPRO_RUN_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     program = load_program("hist")
     image = get_image("hist")
     # Earlier tests may have populated the image's in-memory script LRU
@@ -232,7 +232,7 @@ def test_corrupted_store_rebuilds_bit_identically(tmp_path, monkeypatch):
 
     scalar_result, scalar_platform = run(False)
     first_result, _ = run(True)
-    script_files = list((tmp_path / "traces").rglob("*.npz"))
+    script_files = list((tmp_path / "cache" / "traces").rglob("*.npz"))
     assert script_files  # the run persisted at least one script
     for stored in script_files:
         stored.write_bytes(b"PK\x03\x04 not really")

@@ -69,7 +69,7 @@ def test_atomic_write_replaces_not_appends(tmp_path):
 def test_crashed_writer_tmp_is_ignored_and_swept(tmp_path):
     ns = Store(tmp_path).namespace("runs")
     ns.write_json("good", {"ok": 1})
-    # Simulate a writer that died between mkstemp and os.replace.
+    # Simulate a writer that died between creating its temp file and os.replace.
     (ns.directory / "tmpdead123.tmp").write_text('{"partial": ')
     assert ns.read_json("good") == {"ok": 1}
     assert ns.keys() == ["good"]  # tmp files are invisible to key listing
