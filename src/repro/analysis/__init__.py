@@ -5,8 +5,9 @@ every table and figure of the evaluation as an
 :class:`~repro.analysis.engine.ExperimentSpec`; the engine derives job
 enumeration, parallel execution, sharding, caching and JSON artifacts
 from it, and :mod:`repro.analysis.render` renders results as the text
-tables recorded in EXPERIMENTS.md.  :func:`run_experiment` (the
-``repro experiment`` command) is the one way to run an experiment.
+tables recorded in EXPERIMENTS.md.  :func:`run_experiments` (the
+``repro experiment`` command) is the one way to run experiments, and
+:func:`run_experiment` is it with one spec.
 """
 
 from repro.analysis.engine import (
@@ -21,6 +22,7 @@ from repro.analysis.engine import (
     load_artifact,
     render_artifact,
     run_experiment,
+    run_experiments,
 )
 from repro.analysis.experiments import table2_configuration, table4_hoop_configuration
 from repro.analysis.pareto import (
@@ -71,6 +73,7 @@ __all__ = [
     "render_timeline",
     "report_progress",
     "run_experiment",
+    "run_experiments",
     "gini_coefficient",
     "set_progress_handler",
     "table2_configuration",

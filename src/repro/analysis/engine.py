@@ -15,15 +15,17 @@ from the spec:
   :mod:`repro.analysis.parallel` and could silently drift from the
   drivers (``tests/analysis/test_engine.py`` pins enumeration/driver
   agreement for every registered spec);
-* **process-parallel execution** — jobs are prefetched through
-  :func:`repro.analysis.parallel.prefetch_runs` (bounded submission
-  window, as-completed progress), then the reduce runs entirely on
-  cache hits;
+* **process-parallel execution** — :func:`run_experiments` plans a
+  whole sweep at once: the union of every spec's jobs is prefetched in
+  one :func:`repro.analysis.parallel.prefetch_runs` call (bounded
+  submission window, as-completed progress), then each spec's reduce
+  runs entirely on cache hits;
 * **caching** — the in-process run cache below plus the persistent
   disk layer (:mod:`repro.analysis.runcache`);
-* **sharding** — :func:`run_experiment` takes ``shard="K/N"`` and runs
-  the K-th of N deterministic slices of the job grid, so a paper-scale
-  sweep splits across invocations/machines that share a disk cache;
+* **sharding** — :func:`run_experiments` takes ``shard="K/N"`` and
+  runs the K-th of N deterministic slices of each spec's job grid, so
+  a paper-scale sweep splits across invocations/machines that share a
+  disk cache;
   the final shard finds every other slice cached and reduces;
 * **artifacts** — versioned JSON documents (:data:`ARTIFACT_SCHEMA`),
   each with its rendered ``<id>.txt`` beside it, written to the
@@ -319,9 +321,12 @@ def _dedup_jobs(jobs):
     for job in jobs:
         job = Job(*job)
         by_key.setdefault(job_key(job), job)
-    return sorted(
-        by_key.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2])
-    )
+    return sorted(by_key.items(), key=lambda kv: _job_order(kv[0]))
+
+
+def _job_order(key):
+    """The sort key of a job key: benchmark, then config key, then seed."""
+    return key[0], str(key[1]), key[2]
 
 
 def select_shard(jobs, shard):
@@ -431,7 +436,7 @@ def render_artifact(artifact):
 # ------------------------------------------------------------ execution
 @dataclass(frozen=True)
 class ExperimentRun:
-    """What one :func:`run_experiment` invocation did."""
+    """What one experiment of a :func:`run_experiments` sweep did."""
 
     spec_id: str
     title: str
@@ -446,74 +451,112 @@ class ExperimentRun:
     artifact_path: Optional[Path]
 
 
-def run_experiment(spec, settings=None, workers=None, shard=None,
-                   artifact_dir=None, progress=None):
-    """Run one registered experiment end to end.
+@dataclass(frozen=True)
+class Sweep:
+    """What one :func:`run_experiments` call did: each experiment's
+    :class:`ExperimentRun` in the order given, and the number of
+    distinct jobs the sweep selected across all of them."""
 
-    Enumerates the spec's grid, prefetches the (shard's) jobs in
-    parallel across ``workers`` processes (seeding the in-process and
-    disk caches), then — if every job of the *full* grid is available —
-    reduces, renders, and — when ``artifact_dir`` is given — writes the
-    JSON artifact and its rendered ``<id>.txt`` there.
+    runs: List[ExperimentRun]
+    jobs_planned: int
 
-    ``shard="K/N"`` restricts simulation to the K-th deterministic
-    slice of the grid.  A non-final shard typically returns
+    @property
+    def fresh_runs(self):
+        return sum(run.fresh_runs for run in self.runs)
+
+
+def run_experiments(specs, settings=None, workers=None, shard=None,
+                    artifact_dir=None, progress=None):
+    """Run several experiments as one sweep: plan, simulate, reduce.
+
+    1. Each spec's grid is deduplicated and (with ``shard="K/N"``)
+       sliced to its K-th of N deterministic slices.
+    2. The union of those jobs, deduplicated and ordered by benchmark,
+       goes to one :func:`~repro.analysis.parallel.prefetch_runs` call,
+       so the worker pool stays busy across experiments and each worker
+       changes benchmark a few times per sweep rather than per spec.
+    3. Each spec whose *full* grid is then available reduces, renders
+       and — when ``artifact_dir`` is given — writes its JSON artifact
+       and rendered ``<id>.txt``, in the order given.
+
+    A job several specs share counts as a fresh run of the first spec
+    that selects it.  A non-final shard typically leaves a spec
     ``complete=False`` with no result; the invocation that finds all
     other slices in the shared disk cache performs the reduce.  Bit
-    determinism of the simulator guarantees sharded-union results equal
-    a serial unsharded run.
+    determinism of the simulator guarantees sharded-union results
+    equal a serial unsharded run.
 
-    ``spec`` may be an id (looked up in the registry) or a spec
-    instance (e.g. a parameterised variant that is not registered).
+    A spec may be an id (looked up in the registry) or a spec instance
+    (e.g. a parameterised variant that is not registered).
     """
     from repro.analysis.parallel import prefetch_runs
 
-    if isinstance(spec, str):
-        spec = get_experiment(spec)
     settings = settings or ExperimentSettings()
-    ordered = _dedup_jobs(spec.grid(settings))
     shard_slice = parse_shard(shard) if isinstance(shard, str) else shard
+    shard_label = None
     if shard_slice is not None:
-        k, n = shard_slice
-        selected = ordered[k - 1::n]
-        shard_label = f"{k}/{n}"
-    else:
-        selected = ordered
-        shard_label = None
+        shard_label = f"{shard_slice[0]}/{shard_slice[1]}"
+    plans = []
+    for spec in specs:
+        if isinstance(spec, str):
+            spec = get_experiment(spec)
+        ordered = _dedup_jobs(spec.grid(settings))
+        if shard_slice is None:
+            selected = ordered
+        else:
+            k, n = shard_slice
+            selected = ordered[k - 1::n]
+        plans.append((spec, ordered, selected))
 
-    fresh = 0
-    if selected:
-        fresh = prefetch_runs(
-            [job for _key, job in selected], workers=workers, progress=progress
+    union = {}
+    for _spec, _ordered, selected in plans:
+        for key, job in selected:
+            union.setdefault(key, job)
+    executed = set()
+    if union:
+        executed = set(prefetch_runs(
+            [union[key] for key in sorted(union, key=_job_order)],
+            workers=workers, progress=progress,
+        ))
+
+    runs = []
+    for spec, ordered, selected in plans:
+        fresh = sum(1 for key, _job in selected if key in executed)
+        executed.difference_update(key for key, _job in selected)
+        complete = shard_slice is None or all(
+            key in _run_cache
+            or runcache.contains(job.benchmark, key[1], job.trace_seed)
+            for key, job in ordered
         )
+        result = rendered = path = None
+        if complete:
+            result = spec.reduce(settings, cached_run)
+            rendered = spec.render(result)
+            if artifact_dir is not None:
+                path = write_artifact(spec, settings, result, artifact_dir)
+                atomic_write(path.with_suffix(".txt"),
+                             (rendered + "\n").encode())
+        runs.append(ExperimentRun(
+            spec_id=spec.id,
+            title=spec.title,
+            settings=settings,
+            shard=shard_label,
+            jobs_total=len(ordered),
+            jobs_selected=len(selected),
+            fresh_runs=fresh,
+            complete=complete,
+            result=result,
+            rendered=rendered,
+            artifact_path=path,
+        ))
+    return Sweep(runs=runs, jobs_planned=len(union))
 
-    complete = True
-    if shard_slice is not None:
-        for key, job in ordered:
-            if key in _run_cache:
-                continue
-            if runcache.contains(job.benchmark, key[1], job.trace_seed):
-                continue
-            complete = False
-            break
 
-    result = rendered = path = None
-    if complete:
-        result = spec.reduce(settings, cached_run)
-        rendered = spec.render(result)
-        if artifact_dir is not None:
-            path = write_artifact(spec, settings, result, artifact_dir)
-            atomic_write(path.with_suffix(".txt"), (rendered + "\n").encode())
-    return ExperimentRun(
-        spec_id=spec.id,
-        title=spec.title,
-        settings=settings,
-        shard=shard_label,
-        jobs_total=len(ordered),
-        jobs_selected=len(selected),
-        fresh_runs=fresh,
-        complete=complete,
-        result=result,
-        rendered=rendered,
-        artifact_path=path,
-    )
+def run_experiment(spec, settings=None, workers=None, shard=None,
+                   artifact_dir=None, progress=None):
+    """Run one experiment end to end: :func:`run_experiments` with a
+    single spec; returns its :class:`ExperimentRun`."""
+    return run_experiments(
+        [spec], settings=settings, workers=workers, shard=shard,
+        artifact_dir=artifact_dir, progress=progress,
+    ).runs[0]

@@ -15,9 +15,10 @@ the scheduler's structured
 :class:`~repro.service.scheduler.ProgressEvent`\\ s into
 ``progress(done, total, label)`` callbacks.
 
-:func:`repro.analysis.engine.run_experiment` enumerates a spec's grid
-and prefetches it; call ``prefetch_runs`` directly only for custom job
-lists, such as ``get_experiment("fig10").jobs(settings)``.
+:func:`repro.analysis.engine.run_experiments` enumerates the grids of
+a sweep's specs and prefetches their union in one call; call
+``prefetch_runs`` directly only for custom job lists, such as
+``get_experiment("fig10").jobs(settings)``.
 
 Jobs already present in the persistent disk cache
 (:mod:`repro.analysis.runcache`) are loaded parent-side instead of
@@ -36,8 +37,8 @@ from repro.service.scheduler import get_scheduler
 
 def prefetch_runs(jobs, workers=None, progress=None):
     """Run ``jobs`` (iterable of (benchmark, config, seed)) in parallel
-    and seed the shared run cache.  Returns the number of fresh
-    simulations actually executed (disk-cache hits don't count).
+    and seed the shared run cache.  Returns the job keys of the fresh
+    simulations actually executed (disk-cache hits are not among them).
 
     ``progress(done, total, label)`` — optional callback fired after
     every completed job, in addition to the process-wide handler

@@ -15,7 +15,9 @@ Subcommands
     (``--all`` for everything, ``--workers N`` for process-parallel
     simulation, ``--shard K/N`` to split a sweep across invocations
     sharing a run cache, ``--artifacts DIR`` for versioned JSON
-    results, each with its rendered ``<id>.txt`` beside it).
+    results, each with its rendered ``<id>.txt`` beside it).  The
+    named experiments run as one sweep (one scheduler run over the
+    union of their jobs); a cost line goes to stderr at the end.
 ``verify-fuzz``
     Crash-consistency fuzzing: seeded random programs under adversarial
     power-failure schedules, checked by architectural invariant oracles;
@@ -239,9 +241,24 @@ def _cmd_report(args):
     return 0
 
 
+def _cpu_seconds():
+    """User plus system CPU time of this process and of its reaped
+    children (the worker pools it has joined)."""
+    import resource
+
+    return sum(
+        usage.ru_utime + usage.ru_stime
+        for usage in map(resource.getrusage,
+                         (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    )
+
+
 def _cmd_experiment(args):
+    import time
+
     from repro.analysis import engine, set_progress_handler
     from repro.analysis.progress import console_progress
+    from repro.service.scheduler import get_scheduler
 
     registry = engine.all_experiments()
     names = list(registry) if args.all else args.names
@@ -255,40 +272,50 @@ def _cmd_experiment(args):
     settings = _pick_settings(args)
     if args.progress:
         set_progress_handler(console_progress())
+    wall0, cpu0 = time.perf_counter(), _cpu_seconds()
     try:
-        for name in names:
-            run = engine.run_experiment(
-                name,
-                settings=settings,
-                workers=args.workers,
-                shard=args.shard,
-                artifact_dir=args.artifacts,
-            )
-            if not run.complete:
-                print(
-                    f"{name}: shard {run.shard} simulated "
-                    f"({run.jobs_selected} of {run.jobs_total} jobs, "
-                    f"{run.fresh_runs} fresh); run the remaining shard(s) "
-                    "against the same cache, then rerun to reduce"
-                )
-                print()
-                continue
-            print(run.rendered)
-            if run.artifact_path is not None:
-                print(f"[artifact: {run.artifact_path}]")
-                if name.startswith("pareto"):
-                    # The front renderer is a pure view over the
-                    # artifact; matplotlib is optional and its absence
-                    # skips the figure silently.
-                    from repro.analysis.plots import write_pareto_plot
-
-                    plot = write_pareto_plot(run.artifact_path)
-                    if plot is not None:
-                        print(f"[plot: {plot}]")
-            print()
+        sweep = engine.run_experiments(
+            names,
+            settings=settings,
+            workers=args.workers,
+            shard=args.shard,
+            artifact_dir=args.artifacts,
+        )
     finally:
         if args.progress:
             set_progress_handler(None)
+        # Join the sweep's workers, so that their CPU counts below.
+        get_scheduler().close()
+    for run in sweep.runs:
+        if not run.complete:
+            print(
+                f"{run.spec_id}: shard {run.shard} simulated "
+                f"({run.jobs_selected} of {run.jobs_total} jobs, "
+                f"{run.fresh_runs} fresh); run the remaining shard(s) "
+                "against the same cache, then rerun to reduce"
+            )
+            print()
+            continue
+        print(run.rendered)
+        if run.artifact_path is not None:
+            print(f"[artifact: {run.artifact_path}]")
+            if run.spec_id.startswith("pareto"):
+                # The front renderer is a pure view over the
+                # artifact; matplotlib is optional and its absence
+                # skips the figure silently.
+                from repro.analysis.plots import write_pareto_plot
+
+                plot = write_pareto_plot(run.artifact_path)
+                if plot is not None:
+                    print(f"[plot: {plot}]")
+        print()
+    print(
+        f"sweep: {sweep.jobs_planned} jobs planned, {sweep.fresh_runs} "
+        f"fresh, {sweep.jobs_planned - sweep.fresh_runs} cached; "
+        f"{time.perf_counter() - wall0:.2f} s wall, "
+        f"{_cpu_seconds() - cpu0:.2f} s CPU with workers",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -30,19 +30,21 @@ as-completed so one slow job never blocks collection of fast ones.
 Worker pool lifetime
 --------------------
 A :class:`Scheduler` keeps one long-lived ``ProcessPoolExecutor`` that
-every parallel :meth:`Scheduler.run` reuses, so a sweep of many
-experiments forks its workers once and they stay warm (compiled
-programs, Spendthrift's trained model, the current benchmark's replay
-image and epoch scripts).  Workers are forked, so they see module
-state as of pool creation.  The pool is therefore keyed by worker
-count, the ``REPRO_*`` environment and the workload registry's
-generation (:func:`repro.workloads.registry.registry_generation`), and
-re-created when any of them changes.  A pool is never shut down while
-a run uses it; a pool a dead worker broke is discarded (that run still
-raises, the next run gets a fresh pool); the pool is closed at
-interpreter exit and when the HTTP service stops.  To bound their
-memory, pool workers keep replay state for one benchmark at a time
-(:func:`repro.sim.replay.retain_benchmark`).
+every parallel :meth:`Scheduler.run` reuses, so the service's requests
+share warm workers (compiled programs, Spendthrift's trained model, the
+current benchmark's replay image and epoch scripts).  A ``repro
+experiment`` sweep hands the union of all its specs' jobs to one run
+(:func:`repro.analysis.engine.run_experiments`), ordered by benchmark.
+Workers are forked, so they see module state as of pool creation.  The
+pool is therefore keyed by worker count, the ``REPRO_*`` environment
+and the workload registry's generation
+(:func:`repro.workloads.registry.registry_generation`), and re-created
+when any of them changes.  A pool is never shut down while a run uses
+it; a pool a dead worker broke is discarded (that run still raises, the
+next run gets a fresh pool); the pool is closed at the end of a ``repro
+experiment`` command, at interpreter exit and when the HTTP service
+stops.  To bound their memory, pool workers keep replay state for one
+benchmark at a time (:func:`repro.sim.replay.retain_benchmark`).
 """
 
 import atexit
@@ -220,9 +222,9 @@ class Scheduler:
 
     def run(self, jobs, workers=None, on_event=None):
         """Execute ``jobs`` (iterable of ``(benchmark, config, seed)``)
-        and seed the shared run cache; returns the number of fresh
-        simulations this call actually executed (cache and dedup hits
-        don't count).
+        and seed the shared run cache; returns the job keys of the
+        fresh simulations this call actually executed, in completion
+        order (cache and dedup hits are not among them).
 
         ``on_event(event)`` fires a :class:`ProgressEvent` after every
         completed unit of work (and per trace recording).
@@ -269,7 +271,7 @@ class Scheduler:
             if event is not None:
                 event.set()
 
-        executed = 0
+        executed = []
         try:
             # Parent-side disk-cache pass: cached results are cheap to
             # load and must not occupy worker slots.
@@ -298,13 +300,13 @@ class Scheduler:
                 self._seed_traces(fresh_jobs, _tick)
 
                 def _finish(key, job, result):
-                    nonlocal done, executed
+                    nonlocal done
                     benchmark, _config, seed = job
                     engine._run_cache[key] = result
                     runcache.store(benchmark, key[1], seed, result)
                     _release(key)
                     done += 1
-                    executed += 1
+                    executed.append(key)
                     with self._lock:
                         self.executed += 1
                     _tick(_job_kind(job), _describe(job))
@@ -364,7 +366,7 @@ class Scheduler:
                 if result is None:  # owner died: execute it ourselves
                     _, result = _execute(job)
                     runcache.store(benchmark, key[1], seed, result)
-                    executed += 1
+                    executed.append(key)
                     with self._lock:
                         self.executed += 1
                 engine._run_cache[key] = result

@@ -31,6 +31,7 @@ grow hard dependencies.
 
 import asyncio
 import json
+import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -460,13 +461,18 @@ def serve(host="127.0.0.1", port=8321, workers=None, max_active=2,
 
     async def _main():
         await server.start()
+        # SIGTERM (``kill``, CI's exit trap) stops the server as Ctrl-C
+        # does, so the ``finally`` below joins the worker pool.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         if announce is not None:
             announce(server)
         await server.serve_forever()
 
     try:
         asyncio.run(_main())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
         service.close()

@@ -1,11 +1,12 @@
 """The declarative experiment engine: registry, enumeration/driver
 agreement, sharding, and artifact round-trips."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.analysis import engine
+from repro.analysis import engine, parallel
 from repro.analysis.engine import (
     ExperimentSettings,
     Job,
@@ -18,8 +19,10 @@ from repro.analysis.engine import (
     record_jobs,
     render_artifact,
     run_experiment,
+    run_experiments,
     select_shard,
 )
+from repro.cli import main
 from repro.sim.platform import PlatformConfig
 
 SMOKE = ExperimentSettings.smoke()
@@ -209,3 +212,78 @@ def test_deprecation_shims_are_gone():
 
     assert callable(generate_report)
     assert callable(format_series)
+
+
+# ------------------------------------------------------------ sweep plan
+def _job_order(key):
+    return key[0], str(key[1]), key[2]
+
+
+@pytest.mark.parametrize("shard", [None, "1/2"])
+def test_all_is_one_prefetch_of_the_ordered_union(monkeypatch, capsys,
+                                                   shard):
+    """``--all`` hands every spec's (shard's) jobs to one prefetch,
+    deduplicated and ordered by benchmark.  Zero simulation: the
+    prefetch and every reduce are stubbed."""
+    calls = []
+
+    def fake_prefetch(jobs, workers=None, progress=None):
+        calls.append(list(jobs))
+        return []
+
+    monkeypatch.setattr(parallel, "prefetch_runs", fake_prefetch)
+    for spec_id, spec in list(engine.EXPERIMENTS.items()):
+        monkeypatch.setitem(engine.EXPERIMENTS, spec_id, dataclasses.replace(
+            spec, reduce=lambda settings, fetch: None,
+            render=lambda result, name=spec_id: name,
+        ))
+    argv = ["experiment", "--all", "--smoke"]
+    if shard is not None:
+        argv += ["--shard", shard]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    assert len(calls) == 1
+    keys = [job_key(job) for job in calls[0]]
+    union = {
+        job_key(job)
+        for spec in engine.EXPERIMENTS.values()
+        for job in select_shard(spec.grid(SMOKE), shard)
+    }
+    assert len(keys) == len(set(keys))
+    assert set(keys) == union
+    assert keys == sorted(keys, key=_job_order)
+    benchmarks = [key[0] for key in keys]
+    assert benchmarks == sorted(benchmarks)
+    if shard is not None:
+        full = {job_key(job) for spec in engine.EXPERIMENTS.values()
+                for job in spec.jobs(SMOKE)}
+        assert union < full
+
+
+def test_sweep_counts_a_shared_job_for_the_first_spec():
+    """A sweep reports the same per-spec results and ``fresh_runs`` as
+    separate runs of its specs in the same order, on a cold store."""
+    names = ["table2", "fig13c", "footnote6", "table3"]
+    shared = ({job_key(j) for j in get_experiment("fig13c").jobs(SMOKE)}
+              & {job_key(j) for j in get_experiment("footnote6").jobs(SMOKE)})
+    assert shared  # the attribution below is exercised
+
+    clear_run_cache()
+    separate = [run_experiment(name, settings=SMOKE, workers=1)
+                for name in names]
+    clear_run_cache()
+    sweep = run_experiments(names, settings=SMOKE, workers=1)
+    clear_run_cache()
+
+    assert [run.spec_id for run in sweep.runs] == names
+    assert ([run.fresh_runs for run in sweep.runs]
+            == [run.fresh_runs for run in separate])
+    assert [run.result for run in sweep.runs] == [
+        run.result for run in separate
+    ]
+    assert sweep.runs[0].fresh_runs == 0  # table2 is static
+    assert sweep.jobs_planned == sweep.fresh_runs == len(
+        {job_key(j) for name in names
+         for j in get_experiment(name).jobs(SMOKE)}
+    )

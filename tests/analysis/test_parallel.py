@@ -23,9 +23,9 @@ def test_prefetch_seeds_cache_serial():
     clear_run_cache()
     jobs = fig10_spec(policies=("jit",)).jobs(SMOKE)
     fresh = prefetch_runs(jobs, workers=1)
-    assert fresh == 2
+    assert len(fresh) == 2
     # All jobs now cached: a second prefetch does nothing.
-    assert prefetch_runs(jobs, workers=1) == 0
+    assert prefetch_runs(jobs, workers=1) == []
     for benchmark, config, seed in jobs:
         assert (benchmark, _config_key(config), seed) in _run_cache
 

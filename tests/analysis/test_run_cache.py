@@ -14,6 +14,7 @@ from repro.analysis.engine import (
     _run_cache,
     cached_run,
     clear_run_cache,
+    job_key,
     run_experiment,
 )
 from repro.analysis.parallel import prefetch_runs
@@ -265,7 +266,7 @@ def test_parallel_prefetch_seeds_same_entries_as_serial():
         for seed in (0, 1)
     ]
     fresh = prefetch_runs(jobs, workers=2)
-    assert fresh == len(jobs)
+    assert sorted(fresh) == sorted(job_key(job) for job in jobs)
     parallel_mem = dict(_run_cache)
     parallel_disk = _entries()
 
@@ -278,7 +279,7 @@ def test_parallel_prefetch_seeds_same_entries_as_serial():
 
     # And a prefetch over a warm disk cache executes nothing fresh.
     clear_run_cache()
-    assert prefetch_runs(jobs, workers=2) == 0
+    assert prefetch_runs(jobs, workers=2) == []
     assert dict(_run_cache) == parallel_mem
 
 

@@ -41,7 +41,7 @@ def test_run_executes_seeds_cache_and_reports():
     executed = scheduler.run(
         [JOB, (BENCH, CONFIG, 1)], workers=1, on_event=events.append
     )
-    assert executed == 2
+    assert executed == [KEY, (BENCH, _config_key(CONFIG), 1)]
     assert KEY in _run_cache
     assert (BENCH, _config_key(CONFIG), 1) in _run_cache
     # Every unit of work ticked; labels carry bench/arch/policy/seed.
@@ -60,9 +60,9 @@ def test_run_executes_seeds_cache_and_reports():
 
 def test_warm_cache_executes_nothing():
     scheduler = Scheduler()
-    assert scheduler.run([JOB], workers=1) == 1
+    assert scheduler.run([JOB], workers=1) == [KEY]
     events = []
-    assert scheduler.run([JOB, JOB], workers=1, on_event=events.append) == 0
+    assert scheduler.run([JOB, JOB], workers=1, on_event=events.append) == []
     assert events == []  # in-process hits are pre-filtered, not ticked
 
 
@@ -106,7 +106,7 @@ def test_concurrent_identical_jobs_execute_once(monkeypatch):
 
     # One simulation total: the owner executed, the borrower adopted.
     assert calls == [JOB]
-    assert results == {"owner": 1, "borrower": 0}
+    assert results == {"owner": [KEY], "borrower": []}
     assert KEY in _run_cache
     stats = scheduler.stats()
     assert stats["executed"] == 1
@@ -163,7 +163,7 @@ def test_borrower_reexecutes_when_owner_dies(monkeypatch):
     # The owner's crash released the key; the borrower noticed the
     # missing result and ran the job itself rather than hanging.
     assert outcome["owner"] == "owner died"
-    assert outcome["borrower"] == 1
+    assert outcome["borrower"] == [KEY]
     assert len(calls) == 2
     assert KEY in _run_cache
     assert [e.kind for e in events] == ["dedup"]
@@ -189,15 +189,15 @@ def _jobs(bench, seeds, arches=("clank", "nvmr")):
 
 
 def test_back_to_back_runs_share_one_pool(pooled):
-    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
-    assert pooled.run(_jobs(BENCH, (1,)), workers=2) == 2
+    assert len(pooled.run(_jobs(BENCH, (0,)), workers=2)) == 2
+    assert len(pooled.run(_jobs(BENCH, (1,)), workers=2)) == 2
     stats = pooled.stats()
     assert stats["pools_started"] == 1
     assert stats["executed"] == 4
 
 
 def test_serial_runs_start_no_pool(pooled):
-    assert pooled.run(_jobs(BENCH, (0,)), workers=1) == 2
+    assert len(pooled.run(_jobs(BENCH, (0,)), workers=1)) == 2
     assert pooled.stats()["pools_started"] == 0
 
 
@@ -213,12 +213,12 @@ def test_repointed_store_gets_a_new_pool(pooled, monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_RUN_CACHE", "1")
     first, second = tmp_path / "first", tmp_path / "second"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
-    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
+    assert len(pooled.run(_jobs(BENCH, (0,)), workers=2)) == 2
     assert list((first / "traces" / "scripts").glob("*.npz"))
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(second))
     clear_run_cache()
-    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
+    assert len(pooled.run(_jobs(BENCH, (0,)), workers=2)) == 2
     assert pooled.stats()["pools_started"] == 2
     assert list((second / "traces" / "keys").iterdir())
     assert list((second / "traces" / "scripts").glob("*.npz"))
@@ -234,7 +234,7 @@ def test_workload_registered_after_pool_start_runs_in_workers(pooled):
         lambda: {"g_out": [42]},
     )
     try:
-        assert pooled.run(_jobs(name, (0, 1)), workers=2) == 4
+        assert len(pooled.run(_jobs(name, (0, 1)), workers=2)) == 4
         assert pooled.stats()["pools_started"] == 2
         for job in _jobs(name, (0, 1)):
             key = (name, _config_key(job[1]), job[2])
@@ -261,7 +261,7 @@ def test_dead_worker_breaks_one_run_and_the_next_gets_a_fresh_pool(
         pooled.run(_jobs(BENCH, (7,)), workers=2)
     assert pooled.stats()["inflight"] == 0
 
-    assert pooled.run(_jobs(BENCH, (0,)), workers=2) == 2
+    assert len(pooled.run(_jobs(BENCH, (0,)), workers=2)) == 2
     assert pooled.stats()["pools_started"] == 2
 
 

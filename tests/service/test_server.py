@@ -8,7 +8,14 @@ CI gate and the CLI ``submit`` verb use.
 """
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -393,3 +400,62 @@ def test_cli_submit_returns_1_when_the_job_fails(server, monkeypatch,
     assert _submit(server) == 1
     assert "FAILED: engine exploded" in capsys.readouterr().out
     assert [method for method, _ in routed] == ["POST", "GET"]
+
+
+# ------------------------------------------------------------ shutdown
+def _alive(pid):
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _children(pid):
+    """The live processes whose parent is ``pid``."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            found.add(int(entry.name))
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process parentage from /proc")
+def test_serve_joins_its_pool_on_sigterm():
+    """``kill`` (SIGTERM) on ``repro serve`` closes the service, so the
+    scheduler's forked workers exit with the server instead of being
+    reparented."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
+        client = ServiceClient(port=port)
+        job = client.submit_experiment(EXPERIMENT, settings="smoke",
+                                       workers=2)["job"]
+        assert client.wait(job, timeout=120)["state"] == "done"
+        workers = _children(proc.pid)
+        assert workers  # the warm pool
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

@@ -1,9 +1,17 @@
 """The command-line interface."""
 
 import json
+import re
+import resource
 
 import pytest
 
+from repro.analysis.engine import (
+    ExperimentSettings,
+    clear_run_cache,
+    get_experiment,
+    job_key,
+)
 from repro.cli import build_parser, main
 
 
@@ -62,6 +70,29 @@ def test_experiment_table2(capsys):
     out = capsys.readouterr().out
     assert "Map Table Cache" in out
     assert "OOP Buffer" in out
+
+
+def test_experiment_sweep_reports_its_cost_with_the_workers(capsys):
+    """The sweep joins its worker pool before it reports, so the
+    workers' CPU is in ``RUSAGE_CHILDREN``; the cost line goes to
+    stderr and stdout keeps only the rendered reports."""
+    names = ["table3", "fig13c"]
+    planned = len({
+        job_key(job) for name in names
+        for job in get_experiment(name).jobs(ExperimentSettings.smoke())
+    })
+    clear_run_cache()
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    assert main(["experiment", *names, "--smoke", "--workers", "2"]) == 0
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
+    clear_run_cache()
+    captured = capsys.readouterr()
+    assert re.search(
+        rf"^sweep: {planned} jobs planned, {planned} fresh, 0 cached; "
+        r"\d+\.\d\d s wall, \d+\.\d\d s CPU with workers$",
+        captured.err, re.M,
+    )
+    assert "sweep:" not in captured.out
 
 
 def test_experiment_unknown_name(capsys):

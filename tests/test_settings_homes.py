@@ -66,15 +66,18 @@ def test_no_experiment_picks_an_artifact_dir_of_its_own(monkeypatch, capsys):
     engine with no artifact directory when ``--artifacts`` is absent."""
     seen = {}
 
-    def fake_run(name, settings, workers, shard, artifact_dir):
-        seen[name] = artifact_dir
-        return engine.ExperimentRun(
-            spec_id=name, title=name, settings=settings, shard=None,
-            jobs_total=0, jobs_selected=0, fresh_runs=0, complete=True,
-            result=None, rendered=name, artifact_path=None,
-        )
+    def fake_run(names, settings, workers, shard, artifact_dir):
+        seen.update(dict.fromkeys(names, artifact_dir))
+        return engine.Sweep(runs=[
+            engine.ExperimentRun(
+                spec_id=name, title=name, settings=settings, shard=None,
+                jobs_total=0, jobs_selected=0, fresh_runs=0, complete=True,
+                result=None, rendered=name, artifact_path=None,
+            )
+            for name in names
+        ], jobs_planned=0)
 
-    monkeypatch.setattr(engine, "run_experiment", fake_run)
+    monkeypatch.setattr(engine, "run_experiments", fake_run)
     assert main(["experiment", "--all", "--smoke"]) == 0
     capsys.readouterr()
     assert seen == dict.fromkeys(engine.all_experiments())
