@@ -42,7 +42,7 @@ artifacts all pick it up from the registry.
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, List, NamedTuple, Optional
+from typing import Any, Callable, Iterable, List, NamedTuple, Optional
 
 from repro.analysis import runcache
 from repro.energy.traces import HarvestTrace
@@ -321,12 +321,9 @@ def _dedup_jobs(jobs):
     for job in jobs:
         job = Job(*job)
         by_key.setdefault(job_key(job), job)
-    return sorted(by_key.items(), key=lambda kv: _job_order(kv[0]))
-
-
-def _job_order(key):
-    """The sort key of a job key: benchmark, then config key, then seed."""
-    return key[0], str(key[1]), key[2]
+    return sorted(
+        by_key.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2])
+    )
 
 
 def select_shard(jobs, shard):
@@ -453,16 +450,16 @@ class ExperimentRun:
 
 @dataclass(frozen=True)
 class Sweep:
-    """What one :func:`run_experiments` call did: each experiment's
-    :class:`ExperimentRun` in the order given, and the number of
-    distinct jobs the sweep selected across all of them."""
+    """A planned :func:`run_experiments` sweep.
 
-    runs: List[ExperimentRun]
+    ``jobs_planned`` — the distinct jobs its experiments selected — is
+    known once the sweep is planned.  Iterating ``runs`` simulates all
+    of them in one prefetch, then yields each experiment's
+    :class:`ExperimentRun` as soon as it is reduced, in the order given.
+    """
+
     jobs_planned: int
-
-    @property
-    def fresh_runs(self):
-        return sum(run.fresh_runs for run in self.runs)
+    runs: Iterable[ExperimentRun]
 
 
 def run_experiments(specs, settings=None, workers=None, shard=None,
@@ -479,23 +476,19 @@ def run_experiments(specs, settings=None, workers=None, shard=None,
        and — when ``artifact_dir`` is given — writes its JSON artifact
        and rendered ``<id>.txt``, in the order given.
 
-    A job several specs share counts as a fresh run of the first spec
-    that selects it.  A non-final shard typically leaves a spec
-    ``complete=False`` with no result; the invocation that finds all
-    other slices in the shared disk cache performs the reduce.  Bit
-    determinism of the simulator guarantees sharded-union results
-    equal a serial unsharded run.
+    Step 1 runs at once; steps 2 and 3 run as the returned
+    :class:`Sweep`'s ``runs`` are iterated.  A job several specs share
+    counts as a fresh run of the first spec that selects it.  A
+    non-final shard typically leaves a spec ``complete=False`` with no
+    result; the invocation that finds all other slices in the shared
+    disk cache performs the reduce.  Bit determinism of the simulator
+    guarantees sharded-union results equal a serial unsharded run.
 
     A spec may be an id (looked up in the registry) or a spec instance
     (e.g. a parameterised variant that is not registered).
     """
-    from repro.analysis.parallel import prefetch_runs
-
     settings = settings or ExperimentSettings()
     shard_slice = parse_shard(shard) if isinstance(shard, str) else shard
-    shard_label = None
-    if shard_slice is not None:
-        shard_label = f"{shard_slice[0]}/{shard_slice[1]}"
     plans = []
     for spec in specs:
         if isinstance(spec, str):
@@ -507,19 +500,27 @@ def run_experiments(specs, settings=None, workers=None, shard=None,
             k, n = shard_slice
             selected = ordered[k - 1::n]
         plans.append((spec, ordered, selected))
+    jobs = _dedup_jobs(
+        job for _spec, _ordered, selected in plans for _key, job in selected
+    )
+    return Sweep(jobs_planned=len(jobs), runs=_sweep_runs(
+        plans, [job for _key, job in jobs], settings, workers, shard_slice,
+        artifact_dir, progress,
+    ))
 
-    union = {}
-    for _spec, _ordered, selected in plans:
-        for key, job in selected:
-            union.setdefault(key, job)
+
+def _sweep_runs(plans, jobs, settings, workers, shard_slice, artifact_dir,
+                progress):
+    """Steps 2 and 3 of :func:`run_experiments`, one run at a time."""
+    from repro.analysis.parallel import prefetch_runs
+
     executed = set()
-    if union:
-        executed = set(prefetch_runs(
-            [union[key] for key in sorted(union, key=_job_order)],
-            workers=workers, progress=progress,
-        ))
-
-    runs = []
+    if jobs:
+        executed = set(prefetch_runs(jobs, workers=workers,
+                                     progress=progress))
+    shard_label = None
+    if shard_slice is not None:
+        shard_label = f"{shard_slice[0]}/{shard_slice[1]}"
     for spec, ordered, selected in plans:
         fresh = sum(1 for key, _job in selected if key in executed)
         executed.difference_update(key for key, _job in selected)
@@ -536,7 +537,7 @@ def run_experiments(specs, settings=None, workers=None, shard=None,
                 path = write_artifact(spec, settings, result, artifact_dir)
                 atomic_write(path.with_suffix(".txt"),
                              (rendered + "\n").encode())
-        runs.append(ExperimentRun(
+        yield ExperimentRun(
             spec_id=spec.id,
             title=spec.title,
             settings=settings,
@@ -548,15 +549,15 @@ def run_experiments(specs, settings=None, workers=None, shard=None,
             result=result,
             rendered=rendered,
             artifact_path=path,
-        ))
-    return Sweep(runs=runs, jobs_planned=len(union))
+        )
 
 
 def run_experiment(spec, settings=None, workers=None, shard=None,
                    artifact_dir=None, progress=None):
     """Run one experiment end to end: :func:`run_experiments` with a
     single spec; returns its :class:`ExperimentRun`."""
-    return run_experiments(
+    [run] = run_experiments(
         [spec], settings=settings, workers=workers, shard=shard,
         artifact_dir=artifact_dir, progress=progress,
-    ).runs[0]
+    ).runs
+    return run

@@ -253,6 +253,32 @@ def _cpu_seconds():
     )
 
 
+def _print_run(run):
+    """Print one experiment's rendered report (or its shard note)."""
+    if not run.complete:
+        print(
+            f"{run.spec_id}: shard {run.shard} simulated "
+            f"({run.jobs_selected} of {run.jobs_total} jobs, "
+            f"{run.fresh_runs} fresh); run the remaining shard(s) "
+            "against the same cache, then rerun to reduce"
+        )
+        print()
+        return
+    print(run.rendered)
+    if run.artifact_path is not None:
+        print(f"[artifact: {run.artifact_path}]")
+        if run.spec_id.startswith("pareto"):
+            # The front renderer is a pure view over the artifact;
+            # matplotlib is optional and its absence skips the figure
+            # silently.
+            from repro.analysis.plots import write_pareto_plot
+
+            plot = write_pareto_plot(run.artifact_path)
+            if plot is not None:
+                print(f"[plot: {plot}]")
+    print()
+
+
 def _cmd_experiment(args):
     import time
 
@@ -273,6 +299,7 @@ def _cmd_experiment(args):
     if args.progress:
         set_progress_handler(console_progress())
     wall0, cpu0 = time.perf_counter(), _cpu_seconds()
+    fresh = 0
     try:
         sweep = engine.run_experiments(
             names,
@@ -281,37 +308,18 @@ def _cmd_experiment(args):
             shard=args.shard,
             artifact_dir=args.artifacts,
         )
+        # Each report prints as soon as its experiment is reduced.
+        for run in sweep.runs:
+            fresh += run.fresh_runs
+            _print_run(run)
     finally:
         if args.progress:
             set_progress_handler(None)
         # Join the sweep's workers, so that their CPU counts below.
         get_scheduler().close()
-    for run in sweep.runs:
-        if not run.complete:
-            print(
-                f"{run.spec_id}: shard {run.shard} simulated "
-                f"({run.jobs_selected} of {run.jobs_total} jobs, "
-                f"{run.fresh_runs} fresh); run the remaining shard(s) "
-                "against the same cache, then rerun to reduce"
-            )
-            print()
-            continue
-        print(run.rendered)
-        if run.artifact_path is not None:
-            print(f"[artifact: {run.artifact_path}]")
-            if run.spec_id.startswith("pareto"):
-                # The front renderer is a pure view over the
-                # artifact; matplotlib is optional and its absence
-                # skips the figure silently.
-                from repro.analysis.plots import write_pareto_plot
-
-                plot = write_pareto_plot(run.artifact_path)
-                if plot is not None:
-                    print(f"[plot: {plot}]")
-        print()
     print(
-        f"sweep: {sweep.jobs_planned} jobs planned, {sweep.fresh_runs} "
-        f"fresh, {sweep.jobs_planned - sweep.fresh_runs} cached; "
+        f"sweep: {sweep.jobs_planned} jobs planned, {fresh} fresh, "
+        f"{sweep.jobs_planned - fresh} cached; "
         f"{time.perf_counter() - wall0:.2f} s wall, "
         f"{_cpu_seconds() - cpu0:.2f} s CPU with workers",
         file=sys.stderr,

@@ -43,14 +43,22 @@ when any of them changes.  A pool is never shut down while a run uses
 it; a pool a dead worker broke is discarded (that run still raises, the
 next run gets a fresh pool); the pool is closed at the end of a ``repro
 experiment`` command, at interpreter exit and when the HTTP service
-stops.  To bound their memory, pool workers keep replay state for one
+stops (SIGTERM included).  :meth:`Scheduler.close` also stops the runs
+in progress: they submit no further job, wait for the ones the workers
+have begun, and raise, so a stopping server does not finish its
+requests first.  To bound their memory, pool workers keep replay state for one
 benchmark at a time (:func:`repro.sim.replay.retain_benchmark`).
 """
 
 import atexit
 import os
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -111,6 +119,10 @@ def _describe(job):
     return f"{benchmark}/{config.arch}/{policy}/seed{seed}"
 
 
+class SchedulerClosed(RuntimeError):
+    """:meth:`Scheduler.close` stopped a run before all its jobs ran."""
+
+
 @dataclass(frozen=True)
 class ProgressEvent:
     """One structured progress tick of a scheduler run.
@@ -159,6 +171,9 @@ class Scheduler:
         #: pool -> number of runs using it (the current pool and any
         #: replaced one still draining).
         self._pool_users = {}
+        #: Completed by :meth:`close`: the runs already started then
+        #: execute no further job.
+        self._stop = Future()
 
     def stats(self):
         """Lifetime counters, for ``/status`` and the smoke gates."""
@@ -203,11 +218,15 @@ class Scheduler:
 
     def close(self):
         """Retire the worker pool; it shuts down once no run uses it,
-        and the next parallel run starts a fresh one."""
+        and the next run starts a fresh one.  A run in progress starts
+        no further job: it waits for the jobs its workers have begun,
+        then raises :class:`SchedulerClosed`."""
         with self._lock:
             pool = self._pool
             self._pool = self._pool_key = None
             stale = self._unused(pool)
+            stop, self._stop = self._stop, Future()
+        stop.set_result(None)
         if stale is not None:
             stale.shutdown()
 
@@ -233,6 +252,13 @@ class Scheduler:
 
         with self._lock:
             self.runs += 1
+            stop = self._stop
+
+        def _check_open(left):
+            if stop.done():
+                raise SchedulerClosed(
+                    f"scheduler closed with {left} job(s) not run"
+                )
 
         # Dedupe by cache key (job lists from several figures overlap)
         # and drop anything the in-process cache already holds.
@@ -314,7 +340,8 @@ class Scheduler:
                 workers = (workers or self.default_workers
                            or min(os.cpu_count() or 1, 8))
                 if workers <= 1 or len(fresh_jobs) == 1:
-                    for key, job in fresh_jobs:
+                    for index, (key, job) in enumerate(fresh_jobs):
+                        _check_open(len(fresh_jobs) - index)
                         _, result = _execute(job)
                         _finish(key, job, result)
                 else:
@@ -329,14 +356,15 @@ class Scheduler:
                     running = {}
                     try:
                         while queue or running:
+                            _check_open(len(queue) + len(running))
                             while queue and len(running) < window:
                                 key, job = queue.pop()
                                 future = pool.submit(_pool_execute, job)
                                 running[future] = (key, job)
                             completed, _ = wait(
-                                running, return_when=FIRST_COMPLETED
+                                [stop, *running], return_when=FIRST_COMPLETED
                             )
-                            for future in completed:
+                            for future in completed - {stop}:
                                 key, job = running.pop(future)
                                 _, result = future.result()
                                 _finish(key, job, result)
@@ -364,6 +392,7 @@ class Scheduler:
                 benchmark, _config, seed = job
                 result = runcache.fetch(benchmark, key[1], seed)
                 if result is None:  # owner died: execute it ourselves
+                    _check_open(1)
                     _, result = _execute(job)
                     runcache.store(benchmark, key[1], seed, result)
                     executed.append(key)

@@ -215,10 +215,6 @@ def test_deprecation_shims_are_gone():
 
 
 # ------------------------------------------------------------ sweep plan
-def _job_order(key):
-    return key[0], str(key[1]), key[2]
-
-
 @pytest.mark.parametrize("shard", [None, "1/2"])
 def test_all_is_one_prefetch_of_the_ordered_union(monkeypatch, capsys,
                                                    shard):
@@ -252,7 +248,7 @@ def test_all_is_one_prefetch_of_the_ordered_union(monkeypatch, capsys,
     }
     assert len(keys) == len(set(keys))
     assert set(keys) == union
-    assert keys == sorted(keys, key=_job_order)
+    assert keys == [key for key, _job in engine._dedup_jobs(calls[0])]
     benchmarks = [key[0] for key in keys]
     assert benchmarks == sorted(benchmarks)
     if shard is not None:
@@ -274,16 +270,29 @@ def test_sweep_counts_a_shared_job_for_the_first_spec():
                 for name in names]
     clear_run_cache()
     sweep = run_experiments(names, settings=SMOKE, workers=1)
+    runs = list(sweep.runs)
     clear_run_cache()
 
-    assert [run.spec_id for run in sweep.runs] == names
-    assert ([run.fresh_runs for run in sweep.runs]
+    assert [run.spec_id for run in runs] == names
+    assert ([run.fresh_runs for run in runs]
             == [run.fresh_runs for run in separate])
-    assert [run.result for run in sweep.runs] == [
-        run.result for run in separate
-    ]
-    assert sweep.runs[0].fresh_runs == 0  # table2 is static
-    assert sweep.jobs_planned == sweep.fresh_runs == len(
+    assert [run.result for run in runs] == [run.result for run in separate]
+    assert runs[0].fresh_runs == 0  # table2 is static
+    assert sweep.jobs_planned == sum(run.fresh_runs for run in runs) == len(
         {job_key(j) for name in names
          for j in get_experiment(name).jobs(SMOKE)}
     )
+
+
+def test_each_report_prints_before_the_next_reduce(monkeypatch, capsys):
+    """A sweep prints each report as soon as its spec is reduced, so a
+    reduce that raises leaves the reports before it on stdout."""
+    def fail(settings, fetch):
+        raise RuntimeError("reduce failed")
+
+    monkeypatch.setitem(engine.EXPERIMENTS, "table4", dataclasses.replace(
+        engine.EXPERIMENTS["table4"], reduce=fail,
+    ))
+    with pytest.raises(RuntimeError, match="reduce failed"):
+        main(["experiment", "table2", "table4", "--smoke"])
+    assert "Map Table Cache" in capsys.readouterr().out

@@ -284,3 +284,22 @@ def test_reused_workers_match_serial_bit_for_bit(pooled):
     for jobs in specs:
         serial.run(jobs, workers=1)
     assert dict(_run_cache) == parallel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_close_stops_a_run_in_progress(pooled, workers):
+    """``close()`` during a run (the service stopping on SIGTERM): the
+    run starts no further job and raises; the next run starts afresh."""
+    jobs = _jobs(BENCH, (0, 1, 2))
+
+    def close_after_the_first_job(event):
+        if event.done == 1:
+            pooled.close()
+
+    with pytest.raises(sched.SchedulerClosed):
+        pooled.run(jobs, workers=workers, on_event=close_after_the_first_job)
+    executed = pooled.stats()["executed"]
+    assert 1 <= executed < len(jobs)
+    assert pooled.stats()["inflight"] == 0
+
+    assert len(pooled.run(jobs, workers=workers)) == len(jobs) - executed

@@ -427,35 +427,75 @@ def _children(pid):
     return found
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                    reason="reads process parentage from /proc")
+def _serve(env):
+    """A ``repro serve`` subprocess on a free port, and its client."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, env=dict(env, PYTHONPATH=str(src)),
+        text=True,
+    )
+    port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
+    return proc, ServiceClient(port=port)
+
+
+def _assert_exits_with_its_workers(proc, workers):
+    """SIGTERM ``proc``: it exits 0 and ``workers`` are gone 5 s later."""
+    assert workers  # the warm pool
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=60) == 0
+    deadline = time.monotonic() + 5
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, workers))
+
+
+def _stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+
+
+_needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                 reason="reads process parentage from /proc")
+
+
+@_needs_proc
 def test_serve_joins_its_pool_on_sigterm():
     """``kill`` (SIGTERM) on ``repro serve`` closes the service, so the
     scheduler's forked workers exit with the server instead of being
     reparented."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
-        stdout=subprocess.PIPE, env=env, text=True,
-    )
+    proc, client = _serve(os.environ)
     try:
-        port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
-        client = ServiceClient(port=port)
         job = client.submit_experiment(EXPERIMENT, settings="smoke",
                                        workers=2)["job"]
         assert client.wait(job, timeout=120)["state"] == "done"
-        workers = _children(proc.pid)
-        assert workers  # the warm pool
-
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
-        deadline = time.monotonic() + 5
-        while any(map(_alive, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(_alive, workers))
+        _assert_exits_with_its_workers(proc, _children(proc.pid))
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
+        _stop(proc)
+
+
+@_needs_proc
+def test_sigterm_stops_a_request_in_flight(tmp_path):
+    """SIGTERM while a request simulates: its run starts no further
+    job, so the server exits once the workers finish the jobs they have
+    begun, not after the whole request.  The store counts the runs
+    that finished."""
+    store = tmp_path / "store"
+    spec = "pareto_summary"
+    total = len(engine.get_experiment(spec).jobs(
+        engine.ExperimentSettings.smoke()))
+    proc, client = _serve(dict(os.environ, REPRO_RUN_CACHE="1",
+                               REPRO_CACHE_DIR=str(store)))
+    try:
+        job = client.submit_experiment(spec, settings="smoke",
+                                       workers=2)["job"]
+        for item in client.stream_events(job, timeout=120):
+            assert "state" not in item  # the job must still be running
+            if item["event"]["done"] >= 1:  # a fresh job finished
+                break
+        _assert_exits_with_its_workers(proc, _children(proc.pid))
+    finally:
+        _stop(proc)
+    assert 1 <= len(list(store.glob("*.json"))) < total
