@@ -500,9 +500,15 @@ def run_experiments(specs, settings=None, workers=None, shard=None,
             k, n = shard_slice
             selected = ordered[k - 1::n]
         plans.append((spec, ordered, selected))
-    jobs = _dedup_jobs(
-        job for _spec, _ordered, selected in plans for _key, job in selected
-    )
+    if len(plans) == 1:
+        # One spec's selection is already its own deduplicated, ordered
+        # union; keying it again would cost each service request.
+        jobs = plans[0][2]
+    else:
+        jobs = _dedup_jobs(
+            job for _spec, _ordered, selected in plans
+            for _key, job in selected
+        )
     return Sweep(jobs_planned=len(jobs), runs=_sweep_runs(
         plans, [job for _key, job in jobs], settings, workers, shard_slice,
         artifact_dir, progress,

@@ -257,6 +257,26 @@ def test_all_is_one_prefetch_of_the_ordered_union(monkeypatch, capsys,
         assert union < full
 
 
+def test_one_spec_keys_each_job_once(monkeypatch):
+    """``run_experiment`` (each service request) keys its grid once, as
+    before sweeps were planned: its selection is its own union."""
+    keyed = []
+
+    def counting_job_key(job):
+        keyed.append(job)
+        return job_key(job)
+
+    monkeypatch.setattr(engine, "job_key", counting_job_key)
+    monkeypatch.setattr(parallel, "prefetch_runs",
+                        lambda jobs, workers=None, progress=None: [])
+    spec = dataclasses.replace(
+        get_experiment("pareto_summary"),
+        reduce=lambda settings, fetch: None, render=lambda result: "",
+    )
+    run_experiment(spec, settings=SMOKE)
+    assert len(keyed) == len(list(spec.grid(SMOKE)))
+
+
 def test_sweep_counts_a_shared_job_for_the_first_spec():
     """A sweep reports the same per-spec results and ``fresh_runs`` as
     separate runs of its specs in the same order, on a cold store."""
